@@ -40,14 +40,7 @@ from .kernel_recovery import (
     power_squared,
     tradeoff_report,
 )
-from .kernels import (
-    ChebWeightKernel,
-    DualGram,
-    MaternSobolevKernel,
-    dual_gram,
-    kernel_apply,
-    kernel_from_spec,
-)
+from .kernels import ChebWeightKernel, MaternSobolevKernel, gram, kernel_from_spec
 from .linalg import SvdResult, pseudoinverse, solve_spd, svd
 from .report import TradeoffReport, reports_to_csv
 from .unsymmetric import (

@@ -20,7 +20,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,9 +27,9 @@ import numpy as np
 
 from . import expansion, kernel_recovery, linalg, unsymmetric
 from .errors import TradeoffError
-from .functionals import FunctionalSet, LaplacianEval, PointEval
+from .functionals import FunctionalSet, LaplacianEval, PointEval, functional_from_json
 from .greedy import p_greedy
-from .kernels import MaternSobolevKernel, kernel_from_spec
+from .kernels import MaternSobolevKernel, gram, kernel_from_spec
 from .report import reports_to_csv
 from .unsymmetric import PoissonSetup, build_kansa, unit_square_perimeter
 
@@ -41,7 +40,6 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
     out_dir: Path = None
     seed: int = 0
-    parallel: int = 1
 
     def __post_init__(self):
         if self.out_dir is None:
@@ -59,17 +57,6 @@ def _write(path: Path, text: str):
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _chunked_rows(fn, items, parallel: int) -> np.ndarray:
-    """Apply fn to chunks of items, optionally in a thread pool, and restack
-    the row blocks in order."""
-    if parallel <= 1 or len(items) < 2 * parallel:
-        return fn(items)
-    chunks = np.array_split(np.arange(len(items)), parallel)
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        blocks = list(pool.map(lambda idx: fn([items[i] for i in idx]), chunks))
-    return np.concatenate(blocks, axis=-1 if blocks[0].ndim == 1 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +165,10 @@ def run_kansa(config: ExperimentConfig) -> dict:
     grid_b = unit_square_perimeter(np.arange(eval_boundary) * 4.0 / eval_boundary)
     mus_b = [PointEval(tuple(p)) for p in grid_b]
 
-    def sym_batch(mus):
-        return ctx.power_batch(mus)[0]
-
-    def unsym_batch(mus):
-        return unsymmetric.kansa_power_squared_batch(rec, mus)
-
-    par = config.parallel
-    p2s_i = _chunked_rows(sym_batch, mus_i, par)
-    p2u_i = _chunked_rows(unsym_batch, mus_i, par)
-    p2s_b = _chunked_rows(sym_batch, mus_b, par)
-    p2u_b = _chunked_rows(unsym_batch, mus_b, par)
+    p2s_i = ctx.power_batch(mus_i)[0]
+    p2u_i = unsymmetric.kansa_power_squared_batch(rec, mus_i)
+    p2s_b = ctx.power_batch(mus_b)[0]
+    p2u_b = unsymmetric.kansa_power_squared_batch(rec, mus_b)
 
     pl2 = unsymmetric.pseudo_lagrangian_norms(rec)
     recip = 1.0 / pl2
@@ -316,14 +296,13 @@ def _identity_kernel(rng, perturb: bool = False) -> float:
             if ev.excluded:
                 continue
             ext = FunctionalSet([mu] + list(lam_set))
-            gram = kernel.cross(ext, ext)
-            gram = np.triu(gram) + np.triu(gram, 1).T
+            g = gram(kernel, ext)
             if perturb:
-                gram[0, 1] *= 1.01
-                gram[1, 0] *= 1.01
+                g[0, 1] *= 1.01
+                g[1, 0] *= 1.01
             e0 = np.zeros(len(ext))
             e0[0] = 1.0
-            norm2 = float(linalg.factor_spd(gram).solve(e0)[0])
+            norm2 = float(linalg.factor_spd(g).solve(e0)[0])
             worst = max(worst, abs(ev.power_squared * norm2 - 1.0))
     return worst
 
@@ -438,7 +417,7 @@ def run_audit(config: ExperimentConfig) -> dict:
             "audit config needs 'kernel', 'data', and 'eval' entries")
     kernel = kernel_from_spec(spec["kernel"])
     lam_set = FunctionalSet.from_json(spec["data"])
-    eval_set = [FunctionalSet.from_json([d])[0] for d in spec["eval"]]
+    eval_set = [functional_from_json(d) for d in spec["eval"]]
     reports = kernel_recovery.tradeoff_report(kernel, lam_set, eval_set)
     _write(config.out_dir / "audit_report.csv", reports_to_csv(reports))
     n_excl = sum(r.excluded for r in reports)
@@ -473,8 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON file with parameter overrides")
         p.add_argument("--out", type=Path, default=None, help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--parallel", type=int, default=1,
-                       help="fan grid evaluations out over this many threads")
         if name == "identities":
             p.add_argument("--suite", action="append", dest="suites",
                            choices=IDENTITY_SUITES,
@@ -495,7 +472,7 @@ def main(argv=None) -> int:
         params["perturb"] = True
     config = ExperimentConfig(
         name=args.command, params=params,
-        out_dir=args.out, seed=args.seed, parallel=args.parallel)
+        out_dir=args.out, seed=args.seed)
 
     if args.command == "identities":
         text, ok = run_identities(config)

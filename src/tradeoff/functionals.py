@@ -2,6 +2,7 @@
 and expansion-coefficient extraction, plus their action on expansion bases."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,6 +160,20 @@ def functional_to_json(f: Functional) -> dict:
     if isinstance(f, CoeffEval):
         return {"kind": "coeff", "j": f.j}
     raise TypeError(f"not a functional: {f!r}")
+
+
+def functional_csv_columns(f: Functional) -> tuple[str, float, float]:
+    """The (kind, x, y) columns of f in report and trace CSVs; unused
+    coordinates are nan."""
+    if isinstance(f, PointEval):
+        return "point", f.x[0], f.x[1] if len(f.x) > 1 else math.nan
+    if isinstance(f, DerivEval):
+        return f"deriv{f.order}", f.x, math.nan
+    if isinstance(f, LaplacianEval):
+        return "laplacian", f.x[0], f.x[1]
+    if isinstance(f, CoeffEval):
+        return "coeff", float(f.j), math.nan
+    return "unknown", math.nan, math.nan
 
 
 def functional_from_json(d: dict) -> Functional:

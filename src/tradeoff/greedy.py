@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import Functional, FunctionalSet
+from .functionals import Functional, FunctionalSet, functional_csv_columns
 from .kernel_recovery import PowerContext
-from .report import _mu_columns
 
 STOP_TOLERANCE = "tolerance"
 STOP_MAX_STEPS = "max_steps"
@@ -31,7 +30,7 @@ class GreedyTrace:
         lines = [TRACE_CSV_HEADER]
         for step, (idx, f, p) in enumerate(
                 zip(self.selected_indices, self.selected, self.max_powers)):
-            _, x, y = _mu_columns(f)
+            _, x, y = functional_csv_columns(f)
             lines.append(f"{step},{idx},{x:.17g},{y:.17g},{p:.17g}")
         return "\n".join(lines) + "\n"
 

@@ -11,6 +11,7 @@ import numpy as np
 from . import linalg
 from .errors import ExcludedCase
 from .functionals import Functional, FunctionalSet
+from .kernels import gram
 from .report import FLAG_EXCLUDED, FLAG_OK, LAGRANGIAN, TradeoffReport
 
 # mu counts as reproduced (excluded case) below this fraction of K_mu_mu
@@ -34,24 +35,18 @@ class KernelInterpolant:
     def evaluate(self, mu: Functional) -> float:
         return float((self.kernel.cross([mu], self.functionals) @ self.coefficients)[0])
 
-    def evaluate_many(self, mus) -> np.ndarray:
-        return self.kernel.cross(mus, self.functionals) @ self.coefficients
-
-    def data(self) -> np.ndarray:
-        """The data reproduced by the interpolant (Gram times coefficients)."""
-        g = self.kernel.cross(self.functionals, self.functionals)
-        return g @ self.coefficients
-
 
 @dataclass(frozen=True)
 class PowerEvaluation:
     """Squared add-one-in power of one evaluation functional, with the
-    Lagrange values mu(u_j) produced along the way."""
+    Lagrange values mu(u_j) and the kernel row mu^x lambda_j^y K produced
+    along the way."""
 
     mu: Functional
     power_squared: float
     lagrange_values: np.ndarray
     k_mu_mu: float
+    k_mu_lambda: np.ndarray
     clamped: bool = False
 
     @property
@@ -70,8 +65,7 @@ class PowerContext:
             self.gram = np.zeros((0, 0))
             self.factor = None
         else:
-            g = kernel.cross(lam_set, lam_set)
-            self.gram = np.triu(g) + np.triu(g, 1).T
+            self.gram = gram(kernel, lam_set)
             self.factor = linalg.factor_spd(self.gram)
 
     @property
@@ -93,17 +87,28 @@ class PowerContext:
         p2 = kmm - np.einsum("ij,ji->i", kml, w)
         return np.maximum(p2, 0.0), w.T, kmm
 
+    def _bordered_form(self, c0: float, c: np.ndarray, kmm: float,
+                       kml: np.ndarray) -> float:
+        """Quadratic form of (c0, c) over the Gram of {mu} + Lambda bordered
+        by the row kml = mu^x lambda_j^y K.
+
+        This is the paper's second route to the power function, kept as the
+        independent check of the Schur complement: at (1, -mu(u_j)) it is
+        P^2, and at that vector over P^2 it is the squared Lagrangian norm.
+        """
+        return c0 * c0 * kmm + 2.0 * c0 * float(c @ kml) + float(c @ self.gram @ c)
+
     def power_squared(self, mu: Functional, cross_check: bool = True) -> PowerEvaluation:
         """Squared power via the Schur complement, cross-checked against the
         bordered quadratic form with coefficients (1, -mu(u_1), ..., -mu(u_N))."""
         kmm = float(self.kernel.diag([mu])[0])
         if self.factor is None:
-            return PowerEvaluation(mu, max(kmm, 0.0), np.zeros(0), kmm)
+            return PowerEvaluation(mu, max(kmm, 0.0), np.zeros(0), kmm, np.zeros(0))
         kml = self.kernel.cross([mu], self.lam_set)[0]
         w = self.factor.solve(kml)
         schur = kmm - float(kml @ w)
         if cross_check:
-            bordered = kmm - 2.0 * float(w @ kml) + float(w @ self.gram @ w)
+            bordered = self._bordered_form(1.0, -w, kmm, kml)
             # the routes differ by w^T (G w - k); allow the backward-error
             # level of that residual besides the relative tolerance
             floor = 1e-13 * len(w) * (abs(kmm)
@@ -113,37 +118,29 @@ class PowerContext:
                 raise ArithmeticError(
                     f"power-function routes disagree: schur={schur:.6e} "
                     f"bordered={bordered:.6e}")
-        clamped = schur < 0.0
-        return PowerEvaluation(mu, max(schur, 0.0), w, kmm, clamped)
+        return PowerEvaluation(mu, max(schur, 0.0), w, kmm, kml, schur < 0.0)
 
     def bordered_power_squared(self, mu: Functional) -> float:
         """The bordered quadratic form route on its own."""
-        kmm = float(self.kernel.diag([mu])[0])
-        if self.factor is None:
-            return kmm
-        kml = self.kernel.cross([mu], self.lam_set)[0]
-        w = self.factor.solve(kml)
-        return kmm - 2.0 * float(w @ kml) + float(w @ self.gram @ w)
+        ev = self.power_squared(mu, cross_check=False)
+        return self._bordered_form(1.0, -ev.lagrange_values, ev.k_mu_mu, ev.k_mu_lambda)
 
-    def lagrangian_norm_squared(self, mu: Functional) -> float:
-        """Squared norm of the add-one-in Lagrangian u_{mu,Lambda}.
+    def lagrangian_norm_squared(self, ev: PowerEvaluation) -> float:
+        """Squared norm of the add-one-in Lagrangian u_{mu,Lambda}, from the
+        PowerEvaluation of mu that power_squared returned.
 
         The Lagrangian is the representer of mu - sum_j mu(u_j) lambda_j
         scaled by 1/P^2; its norm comes from the bordered quadratic form
         over the extended Gram, so the product with the Schur-route P^2
         is a genuine two-route consistency check.
         """
-        ev = self.power_squared(mu, cross_check=False)
         if ev.excluded:
             raise ExcludedCase(
-                f"power vanishes at {mu!r}; no bump function exists")
+                f"power vanishes at {ev.mu!r}; no bump function exists")
+        if self.factor is None:
+            return 1.0 / ev.k_mu_mu
         c = np.concatenate(([1.0], -ev.lagrange_values)) / ev.power_squared
-        kmm = ev.k_mu_mu
-        kml = self.kernel.cross([mu], self.lam_set)[0]
-        quad = (c[0] * c[0] * kmm
-                + 2.0 * c[0] * float(c[1:] @ kml)
-                + float(c[1:] @ self.gram @ c[1:]))
-        return max(quad, 0.0)
+        return max(self._bordered_form(c[0], c[1:], ev.k_mu_mu, ev.k_mu_lambda), 0.0)
 
 
 def fit(kernel, lam_set: FunctionalSet, data) -> KernelInterpolant:
@@ -166,12 +163,8 @@ def power_squared(kernel, lam_set: FunctionalSet | None, mu: Functional) -> Powe
 
 
 def lagrangian_norm_squared(kernel, lam_set: FunctionalSet | None, mu: Functional) -> float:
-    if lam_set is None or len(lam_set) == 0:
-        kmm = float(kernel.diag([mu])[0])
-        if kmm <= 0.0:
-            raise ExcludedCase("zero evaluation functional")
-        return 1.0 / kmm
-    return PowerContext(kernel, lam_set).lagrangian_norm_squared(mu)
+    ctx = PowerContext(kernel, lam_set)
+    return ctx.lagrangian_norm_squared(ctx.power_squared(mu, cross_check=False))
 
 
 def tradeoff_report(kernel, lam_set: FunctionalSet | None, eval_set) -> list[TradeoffReport]:
@@ -186,12 +179,8 @@ def tradeoff_report(kernel, lam_set: FunctionalSet | None, eval_set) -> list[Tra
                 mu=mu, power=math.sqrt(ev.power_squared), stability_norm=math.nan,
                 provenance=LAGRANGIAN, flag=FLAG_EXCLUDED))
             continue
-        if ctx.factor is None:
-            norm2 = 1.0 / ev.k_mu_mu
-        else:
-            norm2 = ctx.lagrangian_norm_squared(mu)
         out.append(TradeoffReport(
             mu=mu, power=math.sqrt(ev.power_squared),
-            stability_norm=math.sqrt(norm2), provenance=LAGRANGIAN,
-            flag=FLAG_OK))
+            stability_norm=math.sqrt(ctx.lagrangian_norm_squared(ev)),
+            provenance=LAGRANGIAN, flag=FLAG_OK))
     return out

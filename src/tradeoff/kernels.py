@@ -20,19 +20,17 @@ maps s^p g_a to
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import kv as _kv
 
-from .errors import NotPositiveDefinite, UnsupportedPair
+from .errors import UnsupportedPair
 from .functionals import (
     CHEBYSHEV,
     DerivEval,
     Functional,
-    FunctionalSet,
     LaplacianEval,
     PointEval,
     vandermonde,
@@ -267,33 +265,8 @@ def kernel_from_spec(spec: dict):
     raise ValueError(f"unknown kernel family {family!r}")
 
 
-def kernel_apply(kernel, lam: Functional, mu: Functional) -> float:
-    """Dual inner product (lambda, mu) = lambda^x mu^y K(x, y)."""
-    return kernel.apply(lam, mu)
-
-
-@dataclass(frozen=True)
-class DualGram:
-    """Gram matrix of dual inner products over a functional set."""
-
-    matrix: np.ndarray
-    functionals: FunctionalSet
-
-    def __post_init__(self):
-        g = self.matrix
-        if g.shape[0] != g.shape[1] or g.shape[0] != len(self.functionals):
-            raise NotPositiveDefinite("gram shape inconsistent with functional set")
-
-
-def dual_gram(kernel, lam_set: FunctionalSet, validate: bool = True) -> DualGram:
-    """Assemble the dual Gram matrix, exactly symmetric by mirroring the
-    upper triangle.  With validate=True the spectrum is checked to be
-    nonnegative up to -1e-10 * trace."""
-    g = kernel.cross(lam_set, lam_set)
-    g = np.triu(g) + np.triu(g, 1).T
-    if validate:
-        w = np.linalg.eigvalsh(g)
-        if w[0] < -1e-10 * max(np.trace(g), 1e-300):
-            raise NotPositiveDefinite(
-                f"gram has eigenvalue {w[0]:.3e} below the PSD tolerance")
-    return DualGram(matrix=g, functionals=lam_set)
+def gram(kernel, fset) -> np.ndarray:
+    """Gram matrix of dual inner products over fset, made exactly symmetric
+    by mirroring the upper triangle of kernel.cross(fset, fset)."""
+    g = kernel.cross(fset, fset)
+    return np.triu(g) + np.triu(g, 1).T

@@ -1,10 +1,9 @@
 """Per-evaluation-functional trade-off records and their CSV form."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .functionals import CoeffEval, DerivEval, Functional, LaplacianEval, PointEval
+from .functionals import Functional, functional_csv_columns
 
 LAGRANGIAN = "lagrangian"
 BUMP = "bump"
@@ -36,23 +35,10 @@ class TradeoffReport:
         return self.flag == FLAG_EXCLUDED
 
 
-def _mu_columns(mu: Functional) -> tuple[str, float, float]:
-    if isinstance(mu, PointEval):
-        x = mu.x
-        return "point", x[0], x[1] if len(x) > 1 else math.nan
-    if isinstance(mu, DerivEval):
-        return f"deriv{mu.order}", mu.x, math.nan
-    if isinstance(mu, LaplacianEval):
-        return "laplacian", mu.x[0], mu.x[1]
-    if isinstance(mu, CoeffEval):
-        return "coeff", float(mu.j), math.nan
-    return "unknown", math.nan, math.nan
-
-
 def reports_to_csv(reports) -> str:
     lines = [CSV_HEADER]
     for r in reports:
-        kind, x, y = _mu_columns(r.mu)
+        kind, x, y = functional_csv_columns(r.mu)
         lines.append(
             f"{kind},{x:.17g},{y:.17g},{r.power:.17g},"
             f"{r.stability_norm:.17g},{r.product:.17g},{r.flag}")

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from . import linalg
+from . import kernels, linalg
 from .errors import NoBumpExists
 from .functionals import FunctionalSet, LaplacianEval, PointEval
 
@@ -90,8 +91,7 @@ class PoissonSetup:
 
     @classmethod
     def from_json(cls, d: dict) -> "PoissonSetup":
-        from .kernels import kernel_from_spec
-        return cls(kernel=kernel_from_spec(d["kernel"]),
+        return cls(kernel=kernels.kernel_from_spec(d["kernel"]),
                    interior=np.asarray(d["interior"]),
                    boundary=np.asarray(d["boundary"]),
                    trial=np.asarray(d["trial"]))
@@ -119,6 +119,11 @@ class UnsymmetricRecovery:
 
     def trial_functionals(self) -> list[PointEval]:
         return [PointEval(tuple(p)) for p in self.trial]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Dual Gram of the data functionals, assembled on first use."""
+        return kernels.gram(self.kernel, self.functionals)
 
 
 def build_kansa(setup: PoissonSetup, rtol: float | None = None) -> UnsymmetricRecovery:
@@ -154,11 +159,9 @@ def kansa_power_squared_batch(rec: UnsymmetricRecovery, mus) -> np.ndarray:
     if rec.n == 0:
         return np.maximum(kmm, 0.0)
     kml = rec.kernel.cross(mus, rec.functionals)
-    gram = rec.kernel.cross(rec.functionals, rec.functionals)
-    gram = np.triu(gram) + np.triu(gram, 1).T
     b = pseudo_lagrangian_b(rec, mus)
     p2 = (kmm - 2.0 * np.einsum("ij,ij->i", b, kml)
-          + np.einsum("ij,jk,ik->i", b, gram, b))
+          + np.einsum("ij,jk,ik->i", b, rec.gram, b))
     return np.maximum(p2, 0.0)
 
 
@@ -167,8 +170,7 @@ def pseudo_lagrangian_norms(rec: UnsymmetricRecovery) -> np.ndarray:
     c = rec.coefficient_map
     if rec.n == 0:
         return np.zeros(rec.m)
-    k_tt = rec.kernel.cross(rec.trial_functionals(), rec.trial_functionals())
-    k_tt = np.triu(k_tt) + np.triu(k_tt, 1).T
+    k_tt = kernels.gram(rec.kernel, rec.trial_functionals())
     return np.einsum("ji,jk,ki->i", c, k_tt, c)
 
 

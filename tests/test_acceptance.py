@@ -10,7 +10,7 @@ from tradeoff.cli import ExperimentConfig, run_fig1, run_identities, run_kansa
 from tradeoff.functionals import FunctionalSet, LaplacianEval, PointEval
 from tradeoff.greedy import p_greedy
 from tradeoff.kernel_recovery import PowerContext
-from tradeoff.kernels import MaternSobolevKernel, kernel_apply
+from tradeoff.kernels import MaternSobolevKernel
 from tradeoff.unsymmetric import SvdRecovery, svd_bump_min, svd_power_squared
 
 
@@ -120,7 +120,7 @@ def test_criteria_4_and_5_kernel_tradeoff_and_route_agreement():
             s = ev.power_squared
             b = ctx.bordered_power_squared(mu)
             worst_agree = max(worst_agree, abs(b - s) / s)
-            n2 = ctx.lagrangian_norm_squared(mu)
+            n2 = ctx.lagrangian_norm_squared(ev)
             worst_prod = max(worst_prod, abs(s * n2 - 1.0))
     elapsed = time.time() - t0
     _report("criterion 4 (kernel trade-off equality)",
@@ -242,11 +242,11 @@ def test_criterion_10_laplacian_fd():
         q = p + r * np.array([np.cos(th), np.sin(th)])
 
         def kval(y):
-            return kernel_apply(kernel, PointEval(tuple(p)), PointEval(tuple(y)))
+            return kernel.apply(PointEval(tuple(p)), PointEval(tuple(y)))
 
         fd = (kval(q + e1) + kval(q - e1) + kval(q + e2) + kval(q - e2)
               - 4.0 * kval(q)) / h ** 2
-        exact = kernel_apply(kernel, PointEval(tuple(p)), LaplacianEval(tuple(q)))
+        exact = kernel.apply(PointEval(tuple(p)), LaplacianEval(tuple(q)))
         worst = max(worst, abs(fd - exact) / abs(exact))
     _report("criterion 10 (Laplacian vs 5-point FD)", worst <= 1e-5,
             f"max relative dev {worst:.3e} over 50 pairs (tol 1e-5)")

@@ -140,14 +140,25 @@ def test_cli_chebweight_audit(tmp_path):
     assert float(line.split(",")[5]) == pytest.approx(1.0, rel=1e-5)
 
 
-def test_fig1_parallel_flag_matches_serial(tmp_path):
-    cfg_s = ExperimentConfig("kansa", params={"n_side": 3, "eval_interior_side": 5,
-                                              "eval_boundary": 8},
-                             out_dir=tmp_path / "s", parallel=1)
-    cfg_p = ExperimentConfig("kansa", params={"n_side": 3, "eval_interior_side": 5,
-                                              "eval_boundary": 8},
-                             out_dir=tmp_path / "p", parallel=3)
-    run_kansa(cfg_s)
-    run_kansa(cfg_p)
-    assert (tmp_path / "s/kansa_interior.csv").read_bytes() \
-        == (tmp_path / "p/kansa_interior.csv").read_bytes()
+def test_every_subcommand_reruns_byte_identical(tmp_path):
+    configs = {
+        "fig1": {},
+        "kansa": {"n_side": 3, "eval_interior_side": 5, "eval_boundary": 8},
+        "greedy": {"grid_side": 4, "max_steps": 6},
+        "audit": {
+            "kernel": {"family": "matern", "m": 5, "d": 2, "c": 1.0},
+            "data": [{"kind": "point", "x": [0.0, 0.0]}, {"kind": "point", "x": [0.5, 0.2]},
+                     {"kind": "laplacian", "x": [0.3, 0.7]}],
+            "eval": [{"kind": "point", "x": [0.25, 0.4]}, {"kind": "point", "x": [0.0, 0.0]},
+                     {"kind": "laplacian", "x": [0.6, 0.6]}],
+        },
+    }
+    for name, params in configs.items():
+        cfg_file = tmp_path / f"{name}.json"
+        cfg_file.write_text(json.dumps(params))
+        runs = []
+        for rep in ("a", "b"):
+            out = tmp_path / name / rep
+            assert main([name, "--config", str(cfg_file), "--out", str(out)]) == 0
+            runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert runs[0] and runs[0] == runs[1], name

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from tradeoff.kernel_recovery import (
     power_squared,
     tradeoff_report,
 )
-from tradeoff.kernels import MaternSobolevKernel, kernel_apply
+from tradeoff.kernels import MaternSobolevKernel
 from tradeoff import linalg
 
 
@@ -42,7 +43,7 @@ def test_fit_reproduces_kernel_translate():
     k = MaternSobolevKernel(5, 1, 1.0)
     xs = np.array([-0.8, -0.2, 0.3, 0.6, 0.9])
     lam = FunctionalSet([PointEval(x) for x in xs])
-    data = np.array([kernel_apply(k, PointEval(x), PointEval(0.3)) for x in xs])
+    data = np.array([k.apply(PointEval(x), PointEval(0.3)) for x in xs])
     itp = fit(k, lam, data)
     expected = np.zeros(5)
     expected[2] = 1.0
@@ -56,7 +57,7 @@ def test_fit_interpolates():
     data = rng.normal(size=12)
     itp = fit(k, lam, data)
     assert itp.residual <= 1e-8
-    back = itp.data()
+    back = k.cross(lam, lam) @ itp.coefficients
     assert np.allclose(back, data, rtol=1e-7, atol=1e-9)
 
 
@@ -73,14 +74,14 @@ def test_power_empty_set_is_kmumu():
     k = MaternSobolevKernel(5, 2, 1.0)
     mu = PointEval((0.1, 0.9))
     ev = power_squared(k, None, mu)
-    assert ev.power_squared == pytest.approx(kernel_apply(k, mu, mu))
+    assert ev.power_squared == pytest.approx(k.apply(mu, mu))
 
 
 def test_power_one_point_schur():
     k = MaternSobolevKernel(5, 1, 1.0)
     lam = FunctionalSet([PointEval(0.0)])
     r = 0.6
-    phi = kernel_apply(k, PointEval(0.0), PointEval(r))
+    phi = k.apply(PointEval(0.0), PointEval(r))
     ev = power_squared(k, lam, PointEval(r))
     assert ev.power_squared == pytest.approx(1.0 - phi ** 2, rel=1e-12)
     n2 = lagrangian_norm_squared(k, lam, PointEval(r))
@@ -127,6 +128,42 @@ def test_tradeoff_report_flags_and_products():
     for r in reports[1:]:
         assert r.flag == "ok"
         assert r.product == pytest.approx(1.0, rel=1e-5)
+
+
+class _CountingMatern(MaternSobolevKernel):
+    """Matern kernel that counts its diag and cross calls."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = Counter()
+
+    def diag(self, fset):
+        self.calls["diag"] += 1
+        return super().diag(fset)
+
+    def cross(self, set_a, set_b):
+        self.calls["cross"] += 1
+        return super().cross(set_a, set_b)
+
+
+def test_tradeoff_report_evaluates_each_row_once(monkeypatch):
+    k = _CountingMatern(4, 2, 0.7)
+    rng = np.random.default_rng(12)
+    lam, _ = _point_set(rng, 6, 2)
+    evals = [PointEval((1.4, 1.4)), PointEval((-1.3, 0.2)), PointEval((0.1, -1.6))]
+    solves = Counter()
+    solve = linalg.SpdFactor.solve
+
+    def counted_solve(self, b, refine=True):
+        solves["solve"] += 1
+        return solve(self, b, refine)
+
+    monkeypatch.setattr(linalg.SpdFactor, "solve", counted_solve)
+    reports = tradeoff_report(k, lam, evals)
+    assert [r.flag for r in reports] == ["ok"] * len(evals)
+    # one diag, one cross row and one solve per row, plus the one Gram
+    assert k.calls == {"diag": len(evals), "cross": len(evals) + 1}
+    assert solves["solve"] == len(evals)
 
 
 def test_leave_one_out_equality():

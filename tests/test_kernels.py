@@ -13,8 +13,7 @@ from tradeoff.functionals import (
 from tradeoff.kernels import (
     ChebWeightKernel,
     MaternSobolevKernel,
-    dual_gram,
-    kernel_apply,
+    gram,
     kernel_from_spec,
 )
 
@@ -23,12 +22,12 @@ def test_diagonal_normalization():
     for m, d in [(3, 1), (4, 1), (5, 1), (3, 2), (4, 2), (5, 2)]:
         k = MaternSobolevKernel(m, d, 1.0)
         p = PointEval((0.3,) * d)
-        assert kernel_apply(k, p, p) == pytest.approx(1.0, abs=1e-12)
+        assert k.apply(p, p) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_chebweight_two_term_sum():
     k = ChebWeightKernel([1.0, 1.0])
-    val = kernel_apply(k, PointEval(0.0), PointEval(1.0))
+    val = k.apply(PointEval(0.0), PointEval(1.0))
     assert val == 1.0  # T0(0)T0(1) + T1(0)T1(1)
 
 
@@ -39,11 +38,11 @@ def test_symmetric_evaluation_is_exact():
         (LaplacianEval((0.1, 0.2)), LaplacianEval((0.7, -0.3))),
     ]
     for lam, mu in pairs:
-        assert kernel_apply(k2, lam, mu) == kernel_apply(k2, mu, lam)
+        assert k2.apply(lam, mu) == k2.apply(mu, lam)
     k1 = MaternSobolevKernel(5, 1, 0.7)
     for lam, mu in [(PointEval(0.1), DerivEval(0.6, 1)),
                     (DerivEval(0.1, 2), DerivEval(0.6, 1))]:
-        assert kernel_apply(k1, lam, mu) == kernel_apply(k1, mu, lam)
+        assert k1.apply(lam, mu) == k1.apply(mu, lam)
 
 
 def test_radial_derivative_identity_against_fd():
@@ -72,10 +71,10 @@ def test_laplacian_matches_fd_2d():
     q = np.array([0.8, 0.45])  # distance 0.5-ish
 
     def kval(y):
-        return kernel_apply(k, PointEval(tuple(p)), PointEval(tuple(y)))
+        return k.apply(PointEval(tuple(p)), PointEval(tuple(y)))
 
     fd = _fd_laplacian(kval, q)
-    exact = kernel_apply(k, PointEval(tuple(p)), LaplacianEval(tuple(q)))
+    exact = k.apply(PointEval(tuple(p)), LaplacianEval(tuple(q)))
     assert fd == pytest.approx(exact, rel=1e-6)
 
 
@@ -84,11 +83,11 @@ def test_double_laplacian_matches_fd_2d():
     q = np.array([0.9, 0.1])
 
     def lap_in_y(x):
-        return kernel_apply(k, PointEval(tuple(x)), LaplacianEval(tuple(q)))
+        return k.apply(PointEval(tuple(x)), LaplacianEval(tuple(q)))
 
     p = np.array([0.25, 0.55])
     fd = _fd_laplacian(lap_in_y, p)
-    exact = kernel_apply(k, LaplacianEval(tuple(p)), LaplacianEval(tuple(q)))
+    exact = k.apply(LaplacianEval(tuple(p)), LaplacianEval(tuple(q)))
     assert fd == pytest.approx(exact, rel=1e-6)
 
 
@@ -98,16 +97,16 @@ def test_deriv_1d_matches_fd():
     h = 1e-5
 
     def kval(x, y):
-        return kernel_apply(k, PointEval(x), PointEval(y))
+        return k.apply(PointEval(x), PointEval(y))
 
     fd_x = (kval(x0 + h, y0) - kval(x0 - h, y0)) / (2 * h)
-    assert fd_x == pytest.approx(kernel_apply(k, DerivEval(x0, 1), PointEval(y0)), rel=1e-8)
+    assert fd_x == pytest.approx(k.apply(DerivEval(x0, 1), PointEval(y0)), rel=1e-8)
     fd_y = (kval(x0, y0 + h) - kval(x0, y0 - h)) / (2 * h)
-    assert fd_y == pytest.approx(kernel_apply(k, PointEval(x0), DerivEval(y0, 1)), rel=1e-8)
+    assert fd_y == pytest.approx(k.apply(PointEval(x0), DerivEval(y0, 1)), rel=1e-8)
     h2 = 1e-4  # second differences need a larger step against roundoff
     fd_xx = (kval(x0 + h2, y0) - 2 * kval(x0, y0) + kval(x0 - h2, y0)) / h2 ** 2
-    assert fd_xx == pytest.approx(kernel_apply(k, DerivEval(x0, 2), PointEval(y0)), rel=1e-5)
-    mixed = kernel_apply(k, DerivEval(x0, 1), DerivEval(y0, 1))
+    assert fd_xx == pytest.approx(k.apply(DerivEval(x0, 2), PointEval(y0)), rel=1e-5)
+    mixed = k.apply(DerivEval(x0, 1), DerivEval(y0, 1))
     fd_xy = (kval(x0 + h2, y0 + h2) - kval(x0 + h2, y0 - h2)
              - kval(x0 - h2, y0 + h2) + kval(x0 - h2, y0 - h2)) / (4 * h2 ** 2)
     assert fd_xy == pytest.approx(mixed, rel=1e-6)
@@ -117,9 +116,9 @@ def test_chebweight_deriv_consistency():
     k = ChebWeightKernel.from_rule("(j+1)^2", 12)
     x0, y0 = -0.3, 0.6
     h = 1e-6
-    fd = (kernel_apply(k, PointEval(x0 + h), PointEval(y0))
-          - kernel_apply(k, PointEval(x0 - h), PointEval(y0))) / (2 * h)
-    assert fd == pytest.approx(kernel_apply(k, DerivEval(x0, 1), PointEval(y0)), rel=1e-7)
+    fd = (k.apply(PointEval(x0 + h), PointEval(y0))
+          - k.apply(PointEval(x0 - h), PointEval(y0))) / (2 * h)
+    assert fd == pytest.approx(k.apply(DerivEval(x0, 1), PointEval(y0)), rel=1e-7)
 
 
 def test_coincidence_limits_are_continuous():
@@ -128,31 +127,31 @@ def test_coincidence_limits_are_continuous():
     near = PointEval((0.5 + 3e-7, 0.5))
     lap = LaplacianEval((0.5, 0.5))
     lap_near = LaplacianEval((0.5 + 3e-7, 0.5))
-    assert kernel_apply(k, p, p) == pytest.approx(kernel_apply(k, p, near), rel=1e-5)
-    assert kernel_apply(k, p, lap) == pytest.approx(
-        kernel_apply(k, near, lap), rel=1e-5)
-    assert kernel_apply(k, lap, lap) == pytest.approx(
-        kernel_apply(k, lap_near, lap), rel=1e-5)
+    assert k.apply(p, p) == pytest.approx(k.apply(p, near), rel=1e-5)
+    assert k.apply(p, lap) == pytest.approx(
+        k.apply(near, lap), rel=1e-5)
+    assert k.apply(lap, lap) == pytest.approx(
+        k.apply(lap_near, lap), rel=1e-5)
     # closed-form limits at coincidence
     nu = 4.0
-    assert kernel_apply(k, p, lap) == pytest.approx(-2.0 / (2 * (nu - 1)), rel=1e-12)
-    assert kernel_apply(k, lap, lap) == pytest.approx(
+    assert k.apply(p, lap) == pytest.approx(-2.0 / (2 * (nu - 1)), rel=1e-12)
+    assert k.apply(lap, lap) == pytest.approx(
         2 * 4 / (4 * (nu - 1) * (nu - 2)), rel=1e-12)
 
 
 def test_unsupported_applications():
     k2 = MaternSobolevKernel(3, 2, 1.0)  # nu = 2: Laplacian pairs unavailable
     lap = LaplacianEval((0.2, 0.2))
-    assert kernel_apply(k2, PointEval((0.5, 0.5)), lap) is not None
+    assert k2.apply(PointEval((0.5, 0.5)), lap) is not None
     with pytest.raises(UnsupportedPair):
-        kernel_apply(k2, lap, LaplacianEval((0.5, 0.5)))
+        k2.apply(lap, LaplacianEval((0.5, 0.5)))
     with pytest.raises(UnsupportedPair):
-        kernel_apply(k2, PointEval(0.5), PointEval(0.6))  # wrong dimension
+        k2.apply(PointEval(0.5), PointEval(0.6))  # wrong dimension
     k1 = MaternSobolevKernel(5, 1, 1.0)
     with pytest.raises(UnsupportedPair):
-        kernel_apply(k1, DerivEval(0.0, 3), PointEval(0.5))
+        k1.apply(DerivEval(0.0, 3), PointEval(0.5))
     with pytest.raises(UnsupportedPair):
-        kernel_apply(k1, CoeffEval(0), PointEval(0.5))
+        k1.apply(CoeffEval(0), PointEval(0.5))
 
 
 def test_cross_matches_scalar_apply():
@@ -162,21 +161,37 @@ def test_cross_matches_scalar_apply():
     block = k.cross(fa, fb)
     for i, a in enumerate(fa):
         for j, b in enumerate(fb):
-            assert block[i, j] == pytest.approx(kernel_apply(k, a, b), rel=1e-14)
+            assert block[i, j] == pytest.approx(k.apply(a, b), rel=1e-14)
 
 
-def test_dual_gram_radial_invariance_and_pd():
+def _assert_psd(g):
+    assert np.linalg.eigvalsh(g)[0] >= -1e-10 * max(np.trace(g), 1e-300)
+
+
+def test_gram_radial_invariance_and_pd():
     k = MaternSobolevKernel(5, 2, 1.0)
     # two pairs at equal distance: equal off-diagonal entries
     fs = FunctionalSet([PointEval((0.0, 0.0)), PointEval((0.5, 0.0)),
                         PointEval((2.0, 0.0)), PointEval((2.0, 0.5))])
-    g = dual_gram(k, fs).matrix
+    g = gram(k, fs)
+    _assert_psd(g)
     assert g[0, 1] == pytest.approx(g[2, 3], rel=1e-14)
     assert np.array_equal(g, g.T)
     rng = np.random.default_rng(2)
     pts = rng.uniform(0, 1, size=(3, 2))
-    g3 = dual_gram(k, FunctionalSet([PointEval(tuple(p)) for p in pts])).matrix
+    g3 = gram(k, FunctionalSet([PointEval(tuple(p)) for p in pts]))
     assert np.linalg.eigvalsh(g3)[0] > 0
+    # mixed Laplacian/point data and a weighted-Chebyshev set: exactly
+    # symmetric, with the upper triangle taken from cross as is
+    mixed = FunctionalSet([LaplacianEval((0.3, 0.3)), PointEval((0.1, 0.9)),
+                           LaplacianEval((0.7, 0.6)), PointEval((0.5, 0.5))])
+    cheb = FunctionalSet([PointEval(-0.5), DerivEval(0.2, 1), CoeffEval(3),
+                          PointEval(0.75)])
+    for kern, fset in [(k, mixed), (ChebWeightKernel.from_rule("(j+1)^2", 20), cheb)]:
+        g = gram(kern, fset)
+        _assert_psd(g)
+        assert np.array_equal(g, g.T)
+        assert np.array_equal(np.triu(g), np.triu(kern.cross(fset, fset)))
 
 
 def test_gram_cholesky_no_jitter_for_separated_points():
@@ -187,17 +202,17 @@ def test_gram_cholesky_no_jitter_for_separated_points():
     # the spectrum is representable at all
     for xs in [np.arange(4) * 0.011, np.arange(12) * 0.05, np.arange(20) * 0.1]:
         fs = FunctionalSet([PointEval(x) for x in xs])
-        g = dual_gram(k, fs, validate=False).matrix
+        g = gram(k, fs)
         assert factor_spd(g).jitter == 0.0
 
 
 def test_single_functional_gram():
     k = MaternSobolevKernel(5, 2, 1.0)
     fs = FunctionalSet([LaplacianEval((0.4, 0.6))])
-    g = dual_gram(k, fs).matrix
+    g = gram(k, fs)
     assert g.shape == (1, 1)
     assert g[0, 0] == pytest.approx(
-        kernel_apply(k, fs[0], fs[0]), rel=1e-15)
+        k.apply(fs[0], fs[0]), rel=1e-15)
 
 
 def test_kernel_spec_round_trip():

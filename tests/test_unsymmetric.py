@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tradeoff.errors import NoBumpExists
-from tradeoff.functionals import FunctionalSet, PointEval
+from tradeoff.functionals import FunctionalSet, LaplacianEval, PointEval
 from tradeoff.kernel_recovery import PowerContext
 from tradeoff.kernels import MaternSobolevKernel
 from tradeoff.unsymmetric import (
@@ -152,6 +152,24 @@ def test_kansa_never_beats_symmetric():
     p2_uns = kansa_power_squared_batch(rec, mus)
     kmm = k.diag(mus)
     assert np.all(p2_uns >= p2_sym - 1e-8 * kmm)
+
+
+def test_kansa_data_gram_assembled_once():
+    grams = []
+
+    class GramCountingMatern(MaternSobolevKernel):
+        def cross(self, set_a, set_b):
+            if list(set_a) == list(set_b):
+                grams.append(len(set_a))
+            return super().cross(set_a, set_b)
+
+    k = GramCountingMatern(5, 2, 1.0)
+    rec = build_kansa(PoissonSetup.regular(k, n_side=3, n_boundary=8))
+    mus = [PointEval((0.25, 0.5)), LaplacianEval((0.4, 0.6))]
+    first = kansa_power_squared_batch(rec, mus)
+    second = kansa_power_squared_batch(rec, mus)
+    assert grams == [rec.m]
+    assert np.array_equal(first, second)
 
 
 # ---- SVD / Tikhonov ----
