@@ -48,7 +48,8 @@ from .unsymmetric import (
     SvdRecovery,
     UnsymmetricRecovery,
     build_kansa,
-    kansa_power_squared,
+    kansa_power_squared_batch,
+    kansa_site_power_squared,
     pseudo_lagrangian_norms,
     svd_bump_min,
     svd_power_squared,

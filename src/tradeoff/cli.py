@@ -156,8 +156,6 @@ def run_kansa(config: ExperimentConfig) -> dict:
         include_corners=include_corners,
         trial_points=config.get("trial_points"))
     rec = build_kansa(setup, rtol=rtol)
-    lam_set = rec.functionals
-    ctx = kernel_recovery.PowerContext(kernel, lam_set)
 
     h = np.arange(1, eval_side + 1) / (eval_side + 1.0)
     grid_i = np.array([[x, y] for x in h for y in h])
@@ -165,16 +163,14 @@ def run_kansa(config: ExperimentConfig) -> dict:
     grid_b = unit_square_perimeter(np.arange(eval_boundary) * 4.0 / eval_boundary)
     mus_b = [PointEval(tuple(p)) for p in grid_b]
 
-    p2s_i = ctx.power_batch(mus_i)[0]
-    p2u_i = unsymmetric.kansa_power_squared_batch(rec, mus_i)
-    p2s_b = ctx.power_batch(mus_b)[0]
-    p2u_b = unsymmetric.kansa_power_squared_batch(rec, mus_b)
+    p2u_i, p2s_i = unsymmetric.kansa_power_squared_batch(rec, mus_i)
+    p2u_b, p2s_b = unsymmetric.kansa_power_squared_batch(rec, mus_b)
 
     pl2 = unsymmetric.pseudo_lagrangian_norms(rec)
     recip = 1.0 / pl2
     # leave-one-out optimal powers at the data sites, and the kansa powers there
-    loo_p2 = 1.0 / ctx.factor.inverse_diagonal()
-    p2u_sites = unsymmetric.kansa_power_squared_batch(rec, lam_set)
+    loo_p2 = 1.0 / rec.context.factor.inverse_diagonal()
+    p2u_sites = unsymmetric.kansa_site_power_squared(rec)
     sites = np.vstack([setup.interior, setup.boundary])
     factors = recip / loo_p2
 
@@ -183,7 +179,7 @@ def run_kansa(config: ExperimentConfig) -> dict:
     summary = {
         "m": m, "c": scale, "rtol": rtol, "rank": rec.rank,
         "M": rec.m, "N": rec.n,
-        "jitter": ctx.jitter,
+        "jitter": rec.context.jitter,
         "max_p2_unsym_interior": float(p2u_i.max()),
         "max_p2_sym_interior": float(p2s_i.max()),
         "ratio_max_interior": float(p2u_i.max() / p2s_i.max()),
@@ -210,9 +206,9 @@ def _sample_distinct_nodes(rng, count: int) -> np.ndarray:
             return nodes
 
 
-def _identity_poly(rng, checks: int = 200) -> float:
+def _identity_poly(rng) -> float:
     worst = 0.0
-    for _ in range(checks):
+    for _ in range(200):
         n = int(rng.integers(1, 11))
         nodes = _sample_distinct_nodes(rng, n + 1)
         while True:
@@ -224,9 +220,9 @@ def _identity_poly(rng, checks: int = 200) -> float:
     return worst
 
 
-def _identity_ctd(rng, checks: int = 10_000) -> tuple[float, float, float]:
+def _identity_ctd(rng) -> tuple[float, float, float]:
     lo, hi, mid_dev = math.inf, -math.inf, 0.0
-    for _ in range(checks):
+    for _ in range(10_000):
         xk = float(rng.uniform(-1.0, 1.0))
         width = float(rng.uniform(1e-3, 2.0))
         xk1 = xk + width
@@ -244,9 +240,9 @@ _TAYLOR_RULES = ["1", "0.37", "(j+1)^2", "(j+2)^3", "factorial_sq_over:2^j",
                  "factorial_sq_over:3^j"]
 
 
-def _identity_taylor(rng, checks: int = 100) -> float:
+def _identity_taylor(rng) -> float:
     worst = 0.0
-    for _ in range(checks):
+    for _ in range(100):
         rule = _TAYLOR_RULES[int(rng.integers(0, len(_TAYLOR_RULES)))]
         k = int(rng.integers(0, 40))
         prod = expansion.taylor_power(rule, k) * expansion.taylor_lagrangian_norm(rule, k)
@@ -254,9 +250,9 @@ def _identity_taylor(rng, checks: int = 100) -> float:
     return worst
 
 
-def _identity_ortho(rng, checks: int = 100) -> float:
+def _identity_ortho(rng) -> float:
     worst = 0.0
-    for _ in range(checks):
+    for _ in range(100):
         size = int(rng.integers(1, 50))
         tail = rng.normal(size=size)
         power, _, bump_norm = expansion.ortho_power_and_bump(tail)
@@ -307,9 +303,9 @@ def _identity_kernel(rng, perturb: bool = False) -> float:
     return worst
 
 
-def _identity_svd(rng, checks: int = 100) -> float:
+def _identity_svd(rng) -> float:
     worst = 0.0
-    for _ in range(checks):
+    for _ in range(100):
         m = int(rng.integers(2, 12))
         n_pos = int(rng.integers(0, m))
         sigma = np.sort(rng.uniform(0.1, 5.0, size=n_pos))[::-1]

@@ -3,7 +3,7 @@ and expansion-coefficient extraction, plus their action on expansion bases."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -94,37 +94,19 @@ class CoeffEval(Functional):
     dim = 1
 
 
-def _label(f: Functional) -> str:
-    if isinstance(f, PointEval):
-        return "point(" + ",".join(f"{v:g}" for v in f.x) + ")"
-    if isinstance(f, DerivEval):
-        return f"deriv({f.x:g},{f.order})"
-    if isinstance(f, LaplacianEval):
-        return f"laplacian({f.x[0]:g},{f.x[1]:g})"
-    return f"coeff({f.j})"
-
-
 @dataclass(frozen=True)
 class FunctionalSet:
-    """Ordered set Lambda of pairwise-distinct functionals with labels."""
+    """Ordered set Lambda of pairwise-distinct functionals."""
 
     functionals: tuple[Functional, ...]
-    labels: tuple[str, ...] = field(default=())
 
-    def __init__(self, functionals, labels=None):
+    def __init__(self, functionals):
         fs = tuple(functionals)
         if not fs:
             raise ValueError("a functional set must be nonempty")
         if len(set(fs)) != len(fs):
             raise ValueError("functionals must be pairwise distinct")
-        if labels is None:
-            labels = tuple(_label(f) for f in fs)
-        else:
-            labels = tuple(labels)
-            if len(labels) != len(fs):
-                raise ValueError("one label per functional required")
         object.__setattr__(self, "functionals", fs)
-        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return len(self.functionals)

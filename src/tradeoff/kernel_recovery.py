@@ -82,10 +82,16 @@ class PowerContext:
         kmm = self.kernel.diag(mus)
         if self.factor is None:
             return np.maximum(kmm, 0.0), np.zeros((len(mus), 0)), kmm
-        kml = self.kernel.cross(mus, self.lam_set)
+        p2, lagrange = self.schur_batch(kmm, self.kernel.cross(mus, self.lam_set))
+        return p2, lagrange, kmm
+
+    def schur_batch(self, kmm: np.ndarray, kml: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Schur-complement powers (clamped at 0) and Lagrange values from
+        the diagonal kmm = K(mu, mu) and the kernel rows kml = K(mu, Lambda)
+        of a batch; the one symmetric solve behind every batched power."""
         w = self.factor.solve(kml.T)
         p2 = kmm - np.einsum("ij,ji->i", kml, w)
-        return np.maximum(p2, 0.0), w.T, kmm
+        return np.maximum(p2, 0.0), w.T
 
     def _bordered_form(self, c0: float, c: np.ndarray, kmm: float,
                        kml: np.ndarray) -> float:

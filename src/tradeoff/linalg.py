@@ -36,7 +36,7 @@ class SpdFactor:
     def n(self) -> int:
         return self.a.shape[0]
 
-    def solve(self, b, refine: bool = True) -> np.ndarray:
+    def solve(self, b) -> np.ndarray:
         """Solve A x = b; one iterative-refinement pass against the
         unjittered A cuts the residual on ill-conditioned Grams."""
         b = np.asarray(b, dtype=float)
@@ -44,10 +44,8 @@ class SpdFactor:
             raise DimensionMismatch(
                 f"rhs has {b.shape[0]} rows, matrix is {self.n}x{self.n}")
         x = scipy.linalg.cho_solve(self.cho, b)
-        if refine:
-            r = b - self.a @ x
-            x = x + scipy.linalg.cho_solve(self.cho, r)
-        return x
+        r = b - self.a @ x
+        return x + scipy.linalg.cho_solve(self.cho, r)
 
     def inverse_diagonal(self) -> np.ndarray:
         return np.diag(scipy.linalg.cho_solve(self.cho, np.eye(self.n)))

@@ -12,6 +12,7 @@ import numpy as np
 from . import kernels, linalg
 from .errors import NoBumpExists
 from .functionals import FunctionalSet, LaplacianEval, PointEval
+from .kernel_recovery import PowerContext
 
 # sigma_k counts as zero below this fraction of sigma_max
 RANK_RTOL = 1e-12
@@ -121,9 +122,11 @@ class UnsymmetricRecovery:
         return [PointEval(tuple(p)) for p in self.trial]
 
     @cached_property
-    def gram(self) -> np.ndarray:
-        """Dual Gram of the data functionals, assembled on first use."""
-        return kernels.gram(self.kernel, self.functionals)
+    def context(self) -> PowerContext:
+        """Symmetric collocation from the same data functionals, which the
+        Kansa power is measured against: its one data Gram, assembled on
+        first use, serves the Kansa power and the symmetric power alike."""
+        return PowerContext(self.kernel, self.functionals)
 
 
 def build_kansa(setup: PoissonSetup, rtol: float | None = None) -> UnsymmetricRecovery:
@@ -141,35 +144,42 @@ def build_kansa(setup: PoissonSetup, rtol: float | None = None) -> UnsymmetricRe
         vandermonde=a)
 
 
-def pseudo_lagrangian_b(rec: UnsymmetricRecovery, mus) -> np.ndarray:
-    """Rows b with b_k = sum_j mu(v_j) C_{jk} = mu of the pseudo-Lagrangians."""
-    mu_v = rec.kernel.cross(mus, rec.trial_functionals())
-    return mu_v @ rec.coefficient_map
+def _kansa_p2(kmm, kml, b, gram) -> np.ndarray:
+    """K_mumu - 2 b^T K_{Lambda,mu} + b^T K_{Lambda,Lambda} b per row,
+    clamped at 0; b holds the pseudo-Lagrange values mu(a_k)."""
+    p2 = (kmm - 2.0 * np.einsum("ij,ij->i", b, kml)
+          + np.einsum("ij,jk,ik->i", b, gram, b))
+    return np.maximum(p2, 0.0)
 
 
-def kansa_power_squared(rec: UnsymmetricRecovery, mu) -> float:
-    """Squared power of the unsymmetric recovery at mu:
-    K_mumu - 2 b^T K_{Lambda,mu} + b^T K_{Lambda,Lambda} b, clamped at 0."""
-    return float(kansa_power_squared_batch(rec, [mu])[0])
+def kansa_power_squared_batch(rec: UnsymmetricRecovery, mus) -> tuple[np.ndarray, np.ndarray]:
+    """Squared powers (p2_unsym, p2_sym) of the Kansa recovery and of
+    symmetric collocation from the same data functionals, one per mu.
 
-
-def kansa_power_squared_batch(rec: UnsymmetricRecovery, mus) -> np.ndarray:
+    Both share one kernel row K(mu, Lambda), one K(mu, mu) and the one data
+    Gram of rec.context; only the coefficient row differs: the
+    pseudo-Lagrange values b = mu(v) C against the Lagrange values of the
+    symmetric solve, whose powers are power_batch's bit for bit.
+    """
     mus = list(mus)
     kmm = rec.kernel.diag(mus)
-    if rec.n == 0:
-        return np.maximum(kmm, 0.0)
     kml = rec.kernel.cross(mus, rec.functionals)
-    b = pseudo_lagrangian_b(rec, mus)
-    p2 = (kmm - 2.0 * np.einsum("ij,ij->i", b, kml)
-          + np.einsum("ij,jk,ik->i", b, rec.gram, b))
-    return np.maximum(p2, 0.0)
+    b = rec.kernel.cross(mus, rec.trial_functionals()) @ rec.coefficient_map
+    p2_sym, _ = rec.context.schur_batch(kmm, kml)
+    return _kansa_p2(kmm, kml, b, rec.context.gram), p2_sym
+
+
+def kansa_site_power_squared(rec: UnsymmetricRecovery) -> np.ndarray:
+    """Squared Kansa power at each data functional, with no kernel call: the
+    rows and diagonal of the one data Gram of rec.context are K(mu, Lambda)
+    and K(mu, mu) there, and A C gives the pseudo-Lagrange values."""
+    g = rec.context.gram
+    return _kansa_p2(np.diag(g), g, rec.vandermonde @ rec.coefficient_map, g)
 
 
 def pseudo_lagrangian_norms(rec: UnsymmetricRecovery) -> np.ndarray:
     """Squared norms ||a_k||^2, the diagonal of C^T K_{T,T} C."""
     c = rec.coefficient_map
-    if rec.n == 0:
-        return np.zeros(rec.m)
     k_tt = kernels.gram(rec.kernel, rec.trial_functionals())
     return np.einsum("ji,jk,ki->i", c, k_tt, c)
 

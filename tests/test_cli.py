@@ -1,10 +1,13 @@
 import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from tradeoff import cli
 from tradeoff.cli import ExperimentConfig, main, run_fig1, run_greedy, run_identities, run_kansa
+from tradeoff.kernels import MaternSobolevKernel
 
 
 def test_fig1_summary_and_curves(tmp_path):
@@ -47,6 +50,26 @@ def test_kansa_smoke_reduced(tmp_path):
                           skip_header=1)
     assert sites.shape == (41, 5)
     assert np.all(np.isfinite(sites[:, 4]))
+
+
+def test_kansa_evaluates_each_row_once(monkeypatch, tmp_path):
+    calls = Counter()
+
+    class CountingMatern(MaternSobolevKernel):
+        def diag(self, fset):
+            calls["diag"] += 1
+            return super().diag(fset)
+
+        def cross(self, set_a, set_b):
+            calls["cross"] += 1
+            return super().cross(set_a, set_b)
+
+    monkeypatch.setattr(cli, "MaternSobolevKernel", CountingMatern)
+    run_kansa(ExperimentConfig("kansa", params={"n_side": 3}, out_dir=tmp_path))
+    # A, the data Gram, the trial Gram, and per surface (interior, boundary)
+    # one diag plus the rows against the data and the trial functionals;
+    # the data-site powers reuse the data Gram
+    assert calls == {"cross": 7, "diag": 2}
 
 
 def test_identities_deterministic(tmp_path):

@@ -154,9 +154,9 @@ def test_tradeoff_report_evaluates_each_row_once(monkeypatch):
     solves = Counter()
     solve = linalg.SpdFactor.solve
 
-    def counted_solve(self, b, refine=True):
+    def counted_solve(self, b):
         solves["solve"] += 1
-        return solve(self, b, refine)
+        return solve(self, b)
 
     monkeypatch.setattr(linalg.SpdFactor, "solve", counted_solve)
     reports = tradeoff_report(k, lam, evals)

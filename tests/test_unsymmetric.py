@@ -4,13 +4,13 @@ import pytest
 from tradeoff.errors import NoBumpExists
 from tradeoff.functionals import FunctionalSet, LaplacianEval, PointEval
 from tradeoff.kernel_recovery import PowerContext
-from tradeoff.kernels import MaternSobolevKernel
+from tradeoff.kernels import MaternSobolevKernel, gram
 from tradeoff.unsymmetric import (
     PoissonSetup,
     SvdRecovery,
     build_kansa,
-    kansa_power_squared,
     kansa_power_squared_batch,
+    kansa_site_power_squared,
     pseudo_lagrangian_norms,
     svd_bump_min,
     svd_power_squared,
@@ -101,7 +101,7 @@ def test_kansa_reduces_to_symmetric_for_point_data():
     ctx = PowerContext(k, lam_set)
     mus = [PointEval((0.31, 0.77)), PointEval((0.9, 0.05)), PointEval((1.3, 1.2))]
     p2_sym = ctx.power_batch(mus)[0]
-    p2_uns = kansa_power_squared_batch(rec, mus)
+    p2_uns = kansa_power_squared_batch(rec, mus)[0]
     assert np.allclose(p2_uns, p2_sym, rtol=1e-6, atol=1e-10)
     # pseudo-Lagrangian norms equal the symmetric Lagrangian norms
     pl2 = pseudo_lagrangian_norms(rec)
@@ -122,8 +122,8 @@ def test_kansa_power_at_data_functional_square_case():
         kernel=k, functionals=lam_set, trial=pts,
         coefficient_map=dec.pinv(1e-13), rtol=1e-13, rank=dec.rank(1e-13),
         vandermonde=a)
-    for lam in lam_set:
-        assert kansa_power_squared(rec, lam) <= 1e-7
+    assert np.all(kansa_power_squared_batch(rec, lam_set)[0] <= 1e-7)
+    assert np.all(kansa_site_power_squared(rec) <= 1e-7)
 
 
 def test_kansa_empty_trial_gives_kmumu():
@@ -135,7 +135,7 @@ def test_kansa_empty_trial_gives_kmumu():
         coefficient_map=np.zeros((0, 1)), rtol=1e-12, rank=0,
         vandermonde=np.zeros((1, 0)))
     mu = PointEval((0.2, 0.8))
-    assert kansa_power_squared(rec, mu) == pytest.approx(1.0)
+    assert kansa_power_squared_batch(rec, [mu])[0][0] == pytest.approx(1.0)
     assert pseudo_lagrangian_norms(rec).tolist() == [0.0]
 
 
@@ -143,15 +143,27 @@ def test_kansa_never_beats_symmetric():
     k = MaternSobolevKernel(5, 2, 1.0)
     setup = PoissonSetup.regular(k, n_side=4, n_boundary=8)
     rec = build_kansa(setup, rtol=1e-9)
-    ctx = PowerContext(k, rec.functionals)
     rng = np.random.default_rng(3)
-    from tradeoff.functionals import LaplacianEval
     mus = [LaplacianEval(tuple(p)) for p in rng.uniform(0.05, 0.95, size=(20, 2))]
     mus += [PointEval(tuple(p)) for p in unit_square_perimeter(rng.uniform(0, 4, 10))]
-    p2_sym = ctx.power_batch(mus)[0]
-    p2_uns = kansa_power_squared_batch(rec, mus)
+    p2_uns, p2_sym = kansa_power_squared_batch(rec, mus)
+    # the symmetric half is power_batch's, bit for bit
+    assert np.array_equal(p2_sym, PowerContext(k, rec.functionals).power_batch(mus)[0])
     kmm = k.diag(mus)
     assert np.all(p2_uns >= p2_sym - 1e-8 * kmm)
+
+
+def test_kansa_site_power_reuses_the_data_gram():
+    # the site powers equal the batch formula over freshly evaluated kernel
+    # rows at the data functionals, bit for bit
+    k = MaternSobolevKernel(5, 2, 1.0)
+    rec = build_kansa(PoissonSetup.regular(k, n_side=4, n_boundary=8))
+    lam = rec.functionals
+    kmm, kml = k.diag(lam), k.cross(lam, lam)
+    b = k.cross(lam, rec.trial_functionals()) @ rec.coefficient_map
+    p2 = (kmm - 2.0 * np.einsum("ij,ij->i", b, kml)
+          + np.einsum("ij,jk,ik->i", b, gram(k, lam), b))
+    assert np.array_equal(kansa_site_power_squared(rec), np.maximum(p2, 0.0))
 
 
 def test_kansa_data_gram_assembled_once():
@@ -168,8 +180,10 @@ def test_kansa_data_gram_assembled_once():
     mus = [PointEval((0.25, 0.5)), LaplacianEval((0.4, 0.6))]
     first = kansa_power_squared_batch(rec, mus)
     second = kansa_power_squared_batch(rec, mus)
+    kansa_site_power_squared(rec)
+    assert rec.context.gram.shape == (rec.m, rec.m)
     assert grams == [rec.m]
-    assert np.array_equal(first, second)
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
 # ---- SVD / Tikhonov ----
