@@ -41,7 +41,7 @@ from .kernel_recovery import (
     tradeoff_report,
 )
 from .kernels import ChebWeightKernel, MaternSobolevKernel, gram, kernel_from_spec
-from .linalg import SvdResult, pseudoinverse, solve_spd, svd
+from .linalg import SvdResult, pseudoinverse, svd
 from .report import TradeoffReport, reports_to_csv
 from .unsymmetric import (
     PoissonSetup,

@@ -319,56 +319,47 @@ def _identity_svd(rng) -> float:
     return worst
 
 
-IDENTITY_SUITES = ("poly", "ctd", "taylor", "ortho", "kernel", "svd")
+def _max_dev(label: str, tol: str):
+    """Pass test and detail of a suite whose check returns max |label - 1|."""
+    return (lambda dev: dev <= float(tol),
+            lambda dev: f"max |{label} - 1| = {dev:.3e} (tol {tol})")
+
+
+# name -> (check(rng, perturb), pass test, detail) of each identity suite
+_IDENTITY_CHECKS = {
+    "poly": (lambda rng, _: _identity_poly(rng), *_max_dev("power*seminorm", "1e-11")),
+    "ctd": (lambda rng, _: _identity_ctd(rng),
+            lambda r: r[0] >= 1.0 - 1e-12 and r[1] <= 2.0 + 1e-12 and r[2] <= 1e-12,
+            lambda r: (f"product range [{r[0]:.12f}, {r[1]:.12f}], "
+                       f"midpoint dev {r[2]:.3e}")),
+    "taylor": (lambda rng, _: _identity_taylor(rng), *_max_dev("product", "1e-12")),
+    "ortho": (lambda rng, _: _identity_ortho(rng), *_max_dev("product", "1e-12")),
+    "kernel": (_identity_kernel, *_max_dev("P^2*norm^2", "1e-5")),
+    "svd": (lambda rng, _: _identity_svd(rng), *_max_dev("P^2*norm^2", "1e-12")),
+}
+IDENTITY_SUITES = tuple(_IDENTITY_CHECKS)
 
 
 def run_identities(config: ExperimentConfig) -> tuple[str, bool]:
-    """Run the identity suite; returns (report text, all passed)."""
+    """Run the identity suite; returns (report text, all passed).  Suite i
+    of IDENTITY_SUITES draws from seed + i."""
     suites = config.get("suites", list(IDENTITY_SUITES))
     perturb = bool(config.get("perturb", False))
     lines = [f"identity suite (seed {config.seed})"]
     ok = True
-
-    def record(name, passed, detail):
-        nonlocal ok
-        ok &= passed
-        lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-
-    def guarded(name, tol, fn, fmt):
+    for i, name in enumerate(IDENTITY_SUITES):
+        if name not in suites:
+            continue
+        check, passes, detail = _IDENTITY_CHECKS[name]
         # any error inside a suite counts as a failure, not a crash
         try:
-            dev = fn()
+            result = check(np.random.default_rng(config.seed + i), perturb)
         except Exception as exc:
-            record(name, False, f"raised {type(exc).__name__}: {exc}")
-            return
-        record(name, dev <= tol, fmt(dev))
-
-    if "poly" in suites:
-        rng = np.random.default_rng(config.seed)
-        guarded("poly", 1e-11, lambda: _identity_poly(rng),
-                lambda d: f"max |power*seminorm - 1| = {d:.3e} (tol 1e-11)")
-    if "ctd" in suites:
-        rng = np.random.default_rng(config.seed + 1)
-        lo, hi, mid = _identity_ctd(rng)
-        passed = lo >= 1.0 - 1e-12 and hi <= 2.0 + 1e-12 and mid <= 1e-12
-        record("ctd", passed,
-               f"product range [{lo:.12f}, {hi:.12f}], midpoint dev {mid:.3e}")
-    if "taylor" in suites:
-        rng = np.random.default_rng(config.seed + 2)
-        guarded("taylor", 1e-12, lambda: _identity_taylor(rng),
-                lambda d: f"max |product - 1| = {d:.3e} (tol 1e-12)")
-    if "ortho" in suites:
-        rng = np.random.default_rng(config.seed + 3)
-        guarded("ortho", 1e-12, lambda: _identity_ortho(rng),
-                lambda d: f"max |product - 1| = {d:.3e} (tol 1e-12)")
-    if "kernel" in suites:
-        rng = np.random.default_rng(config.seed + 4)
-        guarded("kernel", 1e-5, lambda: _identity_kernel(rng, perturb=perturb),
-                lambda d: f"max |P^2*norm^2 - 1| = {d:.3e} (tol 1e-5)")
-    if "svd" in suites:
-        rng = np.random.default_rng(config.seed + 5)
-        guarded("svd", 1e-12, lambda: _identity_svd(rng),
-                lambda d: f"max |P^2*norm^2 - 1| = {d:.3e} (tol 1e-12)")
+            passed, text = False, f"raised {type(exc).__name__}: {exc}"
+        else:
+            passed, text = passes(result), detail(result)
+        ok &= passed
+        lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {text}")
 
     lines.append("ALL PASS" if ok else "FAILURES PRESENT")
     text = "\n".join(lines) + "\n"

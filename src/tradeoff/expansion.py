@@ -108,25 +108,24 @@ def ctd_lagrangian_norm(xk: float, xk1: float, x: float) -> float:
 _TAYLOR_PROBE = 200
 
 
-def taylor_power(rho, k: int, probe: int = _TAYLOR_PROBE) -> float:
+def taylor_power(rho, k: int) -> float:
     """Leave-last-out power for Taylor data: sqrt(rho_k) / k!.
 
     Warns when the partial sums of rho_j / (j!)^2 look divergent up to the
-    probe horizon; the constraint is analytic, so a finite check can only
-    warn, never prove.
+    probe horizon _TAYLOR_PROBE; the constraint is analytic, so a finite
+    check can only warn, never prove.
     """
     rho_fn = as_weight_fn(rho)
     rk = float(rho_fn(k))
     if rk <= 0 or not np.isfinite(rk):
         raise BadWeights(f"rho_{k} = {rk} must be positive")
-    if probe:
-        log_terms = np.array(
-            [_log_weight(rho_fn, j) - 2.0 * math.lgamma(j + 1)
-             for j in range(probe - 10, probe)])
-        if np.all(np.diff(log_terms) > 0) and log_terms[-1] > -1.0:
-            warnings.warn(
-                "weight sequence rho_j/(j!)^2 looks divergent up to the probe "
-                "horizon; the Taylor space may be ill-defined", stacklevel=2)
+    log_terms = np.array(
+        [_log_weight(rho_fn, j) - 2.0 * math.lgamma(j + 1)
+         for j in range(_TAYLOR_PROBE - 10, _TAYLOR_PROBE)])
+    if np.all(np.diff(log_terms) > 0) and log_terms[-1] > -1.0:
+        warnings.warn(
+            "weight sequence rho_j/(j!)^2 looks divergent up to the probe "
+            "horizon; the Taylor space may be ill-defined", stacklevel=2)
     return math.sqrt(rk) / math.factorial(k)
 
 

@@ -3,7 +3,7 @@ and expansion-coefficient extraction, plus their action on expansion bases."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -15,13 +15,39 @@ CHEBYSHEV = "chebyshev"
 MONOMIAL = "monomial"
 ORTHONORMAL = "orthonormal"
 
-_BASES = (CHEBYSHEV, MONOMIAL, ORTHONORMAL)
-
 
 class Functional:
-    """Base class for continuous linear functionals."""
+    """Base class for continuous linear functionals.
 
-    dim: int
+    Each kind is one class, the only place that knows the kind.  It declares
+    ``kind`` (its JSON tag and its key in ``_KINDS``), ``dim`` (the dimension
+    of the space it acts on), ``order`` (its total derivative order for a
+    radial kernel, None if a radial kernel cannot apply it), ``site`` (the
+    point a radial kernel differences, a tuple), ``csv_columns()`` (its
+    (kind, x, y) report columns, nan where unused) and ``on_coeffs(basis,
+    coeffs)`` (its value on an expansion with float coefficients; by default
+    UnsupportedPair).  Per-kind constants are unannotated class attributes,
+    so they stay out of the dataclass fields, equality and hashing;
+    ``to_json``/``from_json`` map those fields.  A new kind is one class
+    plus one ``_KINDS`` entry.
+    """
+
+    kind = None
+    order = None
+
+    def to_json(self) -> dict:
+        out = {"kind": self.kind}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            out[f.name] = list(v) if isinstance(v, tuple) else v
+        return out
+
+    @classmethod
+    def from_json(cls, d: dict) -> "Functional":
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
+
+    def on_coeffs(self, basis: str, coeffs: np.ndarray) -> float:
+        raise UnsupportedPair(f"cannot apply {self!r} to a {basis} expansion")
 
 
 def _point(x) -> tuple[float, ...]:
@@ -39,12 +65,29 @@ class PointEval(Functional):
 
     x: tuple[float, ...]
 
+    kind = "point"
+    order = 0
+
     def __init__(self, x):
         object.__setattr__(self, "x", _point(x))
 
     @property
     def dim(self) -> int:
         return len(self.x)
+
+    @property
+    def site(self) -> tuple[float, ...]:
+        return self.x
+
+    def csv_columns(self) -> tuple[str, float, float]:
+        return self.kind, self.x[0], self.x[1] if len(self.x) > 1 else math.nan
+
+    def on_coeffs(self, basis: str, coeffs: np.ndarray) -> float:
+        val, _ = _basis_mod(basis)
+        if self.dim != 1:
+            raise UnsupportedPair(
+                f"{self!r} acts on R^{self.dim}, expansion is univariate")
+        return float(val(self.x[0], coeffs))
 
 
 @dataclass(frozen=True)
@@ -54,15 +97,34 @@ class DerivEval(Functional):
     x: float
     order: int
 
+    kind = "deriv"
+    dim = 1
+
     def __init__(self, x, order: int):
         if order < 0:
             raise ValueError(f"derivative order must be >= 0, got {order}")
-        if not np.isfinite(x):
-            raise ValueError("point must be finite")
-        object.__setattr__(self, "x", float(x))
+        pt = _point(x)
+        if len(pt) != 1:
+            raise ValueError(f"DerivEval needs a 1-d point, got {pt}")
+        object.__setattr__(self, "x", pt[0])
         object.__setattr__(self, "order", int(order))
 
-    dim = 1
+    @property
+    def site(self) -> tuple[float]:
+        return (self.x,)
+
+    def to_json(self) -> dict:
+        return {**super().to_json(), "x": [self.x]}
+
+    def csv_columns(self) -> tuple[str, float, float]:
+        return f"{self.kind}{self.order}", self.x, math.nan
+
+    def on_coeffs(self, basis: str, coeffs: np.ndarray) -> float:
+        val, der = _basis_mod(basis)
+        d = der(coeffs, self.order) if self.order else coeffs
+        if len(np.atleast_1d(d)) == 0:
+            return 0.0
+        return float(val(self.x, d))
 
 
 @dataclass(frozen=True)
@@ -71,27 +133,55 @@ class LaplacianEval(Functional):
 
     x: tuple[float, float]
 
+    kind = "laplacian"
+    dim = 2
+    order = 2
+
     def __init__(self, x):
         pt = _point(x)
         if len(pt) != 2:
             raise ValueError(f"LaplacianEval needs a 2-d point, got {pt}")
         object.__setattr__(self, "x", pt)
 
-    dim = 2
+    @property
+    def site(self) -> tuple[float, float]:
+        return self.x
+
+    def csv_columns(self) -> tuple[str, float, float]:
+        return self.kind, self.x[0], self.x[1]
 
 
 @dataclass(frozen=True)
 class CoeffEval(Functional):
-    """f -> j-th expansion coefficient of f."""
+    """f -> j-th expansion coefficient of f, on every basis (indices beyond
+    the stored length read as zero, expansions being implicitly infinite
+    with zero tails)."""
 
     j: int
+
+    kind = "coeff"
+    dim = 1
 
     def __init__(self, j: int):
         if j < 0:
             raise ValueError(f"coefficient index must be >= 0, got {j}")
         object.__setattr__(self, "j", int(j))
 
-    dim = 1
+    def csv_columns(self) -> tuple[str, float, float]:
+        return self.kind, float(self.j), math.nan
+
+    def on_coeffs(self, basis: str, coeffs: np.ndarray) -> float:
+        return float(coeffs[self.j]) if self.j < len(coeffs) else 0.0
+
+
+_KINDS = {cls.kind: cls for cls in (PointEval, DerivEval, LaplacianEval, CoeffEval)}
+
+
+def functional_from_json(d: dict) -> Functional:
+    cls = _KINDS.get(d["kind"])
+    if cls is None:
+        raise ValueError(f"unknown functional kind {d['kind']!r}")
+    return cls.from_json(d)
 
 
 @dataclass(frozen=True)
@@ -125,51 +215,11 @@ class FunctionalSet:
         return FunctionalSet(fs)
 
     def to_json(self) -> list[dict]:
-        return [functional_to_json(f) for f in self.functionals]
+        return [f.to_json() for f in self.functionals]
 
     @classmethod
     def from_json(cls, items) -> "FunctionalSet":
         return cls([functional_from_json(d) for d in items])
-
-
-def functional_to_json(f: Functional) -> dict:
-    if isinstance(f, PointEval):
-        return {"kind": "point", "x": list(f.x)}
-    if isinstance(f, DerivEval):
-        return {"kind": "deriv", "x": [f.x], "order": f.order}
-    if isinstance(f, LaplacianEval):
-        return {"kind": "laplacian", "x": list(f.x)}
-    if isinstance(f, CoeffEval):
-        return {"kind": "coeff", "j": f.j}
-    raise TypeError(f"not a functional: {f!r}")
-
-
-def functional_csv_columns(f: Functional) -> tuple[str, float, float]:
-    """The (kind, x, y) columns of f in report and trace CSVs; unused
-    coordinates are nan."""
-    if isinstance(f, PointEval):
-        return "point", f.x[0], f.x[1] if len(f.x) > 1 else math.nan
-    if isinstance(f, DerivEval):
-        return f"deriv{f.order}", f.x, math.nan
-    if isinstance(f, LaplacianEval):
-        return "laplacian", f.x[0], f.x[1]
-    if isinstance(f, CoeffEval):
-        return "coeff", float(f.j), math.nan
-    return "unknown", math.nan, math.nan
-
-
-def functional_from_json(d: dict) -> Functional:
-    kind = d["kind"]
-    if kind == "point":
-        return PointEval(d["x"])
-    if kind == "deriv":
-        x = d["x"]
-        return DerivEval(x[0] if isinstance(x, (list, tuple)) else x, d["order"])
-    if kind == "laplacian":
-        return LaplacianEval(d["x"])
-    if kind == "coeff":
-        return CoeffEval(d["j"])
-    raise ValueError(f"unknown functional kind {kind!r}")
 
 
 def _basis_mod(basis: str):
@@ -177,37 +227,19 @@ def _basis_mod(basis: str):
         return _cheb.chebval, _cheb.chebder
     if basis == MONOMIAL:
         return _poly.polyval, _poly.polyder
+    if basis == ORTHONORMAL:
+        raise UnsupportedPair(
+            "an abstract orthonormal basis only supports coefficient functionals")
     raise UnsupportedPair(f"unknown basis {basis!r}")
 
 
 def apply_to_coeffs(lam: Functional, basis: str, coeffs) -> float:
     """Apply a functional to the function with the given expansion coefficients.
 
-    CoeffEval works on every basis (indices beyond the stored length read as
-    zero, expansions being implicitly infinite with zero tails).  Point and
-    derivative evaluation need a concrete univariate basis.
+    CoeffEval works on every basis.  Point and derivative evaluation need a
+    concrete univariate basis.
     """
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    if isinstance(lam, CoeffEval):
-        return float(coeffs[lam.j]) if lam.j < len(coeffs) else 0.0
-    if basis == ORTHONORMAL:
-        raise UnsupportedPair(
-            "an abstract orthonormal basis only supports coefficient functionals")
-    if isinstance(lam, LaplacianEval):
-        raise UnsupportedPair(
-            f"LaplacianEval is 2-d; the {basis} expansion is univariate")
-    val, der = _basis_mod(basis)
-    if isinstance(lam, PointEval):
-        if lam.dim != 1:
-            raise UnsupportedPair(
-                f"{lam!r} acts on R^{lam.dim}, expansion is univariate")
-        return float(val(lam.x[0], coeffs))
-    if isinstance(lam, DerivEval):
-        d = der(coeffs, lam.order) if lam.order else coeffs
-        if len(np.atleast_1d(d)) == 0:
-            return 0.0
-        return float(val(lam.x, d))
-    raise UnsupportedPair(f"cannot apply {lam!r} to a {basis} expansion")
+    return lam.on_coeffs(basis, np.atleast_1d(np.asarray(coeffs, dtype=float)))
 
 
 def apply(lam: Functional, f) -> float:
@@ -224,24 +256,14 @@ def vandermonde(lam_set, basis: str, n_max: int) -> np.ndarray:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     lam_set = list(lam_set)
-    m = len(lam_set)
-    out = np.empty((m, n_max + 1))
-    # point evaluations in one shot; other kinds row by row
-    if basis == CHEBYSHEV:
-        pts = [(i, f.x[0]) for i, f in enumerate(lam_set)
-               if isinstance(f, PointEval) and f.dim == 1]
-        if pts:
-            idx, xs = zip(*pts)
-            out[list(idx)] = _cheb.chebvander(np.asarray(xs), n_max)
-    else:
-        pts = []
-    done = {i for i, _ in pts}
+    out = np.empty((len(lam_set), n_max + 1))
+    # 1-d point evaluations in one shot on the Chebyshev basis; other rows one by one
+    pts = {i: f.x[0] for i, f in enumerate(lam_set)
+           if basis == CHEBYSHEV and f.kind == PointEval.kind and f.dim == 1}
+    if pts:
+        out[list(pts)] = _cheb.chebvander(np.asarray(list(pts.values())), n_max)
     eye = np.eye(n_max + 1)
     for i, lam in enumerate(lam_set):
-        if i in done:
-            continue
-        if isinstance(lam, CoeffEval):
-            out[i] = eye[lam.j] if lam.j <= n_max else 0.0
-            continue
-        out[i] = [apply_to_coeffs(lam, basis, eye[k]) for k in range(n_max + 1)]
+        if i not in pts:
+            out[i] = [lam.on_coeffs(basis, eye[k]) for k in range(n_max + 1)]
     return out

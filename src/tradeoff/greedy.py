@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import Functional, FunctionalSet, functional_csv_columns
+from .functionals import Functional, FunctionalSet
 from .kernel_recovery import PowerContext
 
 STOP_TOLERANCE = "tolerance"
@@ -30,7 +30,7 @@ class GreedyTrace:
         lines = [TRACE_CSV_HEADER]
         for step, (idx, f, p) in enumerate(
                 zip(self.selected_indices, self.selected, self.max_powers)):
-            _, x, y = functional_csv_columns(f)
+            _, x, y = f.csv_columns()
             lines.append(f"{step},{idx},{x:.17g},{y:.17g},{p:.17g}")
         return "\n".join(lines) + "\n"
 

@@ -27,14 +27,7 @@ from scipy.special import gamma as _gamma
 from scipy.special import kv as _kv
 
 from .errors import UnsupportedPair
-from .functionals import (
-    CHEBYSHEV,
-    DerivEval,
-    Functional,
-    LaplacianEval,
-    PointEval,
-    vandermonde,
-)
+from .functionals import CHEBYSHEV, Functional, vandermonde
 from .weights import parse_weight_rule, weight_array
 
 # below s = r/c < 1e-6 the g-terms switch to their r -> 0 limits
@@ -86,35 +79,25 @@ def _laplace(terms: dict, d: int) -> dict:
 
 
 def _functional_order(f: Functional, d: int) -> int:
-    if isinstance(f, PointEval):
-        if f.dim != d:
-            raise UnsupportedPair(f"{f!r} acts on R^{f.dim}, kernel lives on R^{d}")
-        return 0
-    if isinstance(f, LaplacianEval):
-        if d != 2:
-            raise UnsupportedPair("LaplacianEval needs a 2-d kernel")
-        return 2
-    if isinstance(f, DerivEval):
-        if d != 1:
-            raise UnsupportedPair("DerivEval needs a 1-d kernel")
-        if f.order > 2:
-            raise UnsupportedPair("derivative order > 2 is not supported")
-        return f.order
-    raise UnsupportedPair(f"{f!r} is not supported by a radial kernel")
-
-
-def _point_of(f: Functional) -> np.ndarray:
-    if isinstance(f, DerivEval):
-        return np.array([f.x])
-    return np.asarray(f.x, dtype=float)
+    """Total derivative order of f for a radial kernel on R^d."""
+    if f.order is None:
+        raise UnsupportedPair(f"{f!r} is not supported by a radial kernel")
+    if f.dim != d:
+        raise UnsupportedPair(f"{f!r} acts on R^{f.dim}, kernel lives on R^{d}")
+    if f.order > 2:
+        raise UnsupportedPair("derivative order > 2 is not supported")
+    if d == 2 and f.order % 2:
+        raise UnsupportedPair("in 2-d a radial kernel applies only the Laplacian")
+    return f.order
 
 
 class MaternSobolevKernel:
     """Whittle-Matern kernel of Sobolev order m on R^d at length scale c.
 
-    Supports point evaluations, LaplacianEval in 2-d, and DerivEval of order
-    <= 2 in 1-d.  An application needs nu = m - d/2 > (total derivative
-    order)/2; in particular Laplacian-against-Laplacian needs nu > 2.
+    Supports every functional on R^d with a radial-kernel ``order`` <= 2:
+    point evaluations, LaplacianEval in 2-d, and DerivEval in 1-d.  An
+    application needs nu = m - d/2 > (total derivative order)/2; in
+    particular Laplacian-against-Laplacian needs nu > 2.
     """
 
     def __init__(self, m: int, d: int, c: float = 1.0):
@@ -175,7 +158,7 @@ class MaternSobolevKernel:
     def apply(self, lam: Functional, mu: Functional) -> float:
         n_a = _functional_order(lam, self.d)
         n_b = _functional_order(mu, self.d)
-        diff = _point_of(lam) - _point_of(mu)
+        diff = np.asarray(lam.site, dtype=float) - np.asarray(mu.site, dtype=float)
         u = diff[0] / self.c if self.d == 1 else np.linalg.norm(diff) / self.c
         return float(self._radial(n_a, n_b, np.asarray(u)))
 
@@ -184,8 +167,8 @@ class MaternSobolevKernel:
         fa, fb = list(set_a), list(set_b)
         orders_a = [_functional_order(f, self.d) for f in fa]
         orders_b = [_functional_order(f, self.d) for f in fb]
-        pts_a = np.array([_point_of(f) for f in fa], dtype=float)
-        pts_b = np.array([_point_of(f) for f in fb], dtype=float)
+        pts_a = np.array([f.site for f in fa], dtype=float)
+        pts_b = np.array([f.site for f in fb], dtype=float)
         out = np.empty((len(fa), len(fb)))
         for na in sorted(set(orders_a)):
             ia = np.flatnonzero(np.array(orders_a) == na)

@@ -80,12 +80,6 @@ def factor_spd(a) -> SpdFactor:
             scale *= 10.0
 
 
-def solve_spd(a, b) -> np.ndarray:
-    """Solve A X = B for symmetric positive definite A."""
-    b = np.asarray(b, dtype=float)
-    return factor_spd(a).solve(b)
-
-
 @dataclass(frozen=True)
 class SvdResult:
     """Thin SVD A = U diag(s) Vt with s nonincreasing and nonnegative."""

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .functionals import Functional, functional_csv_columns
+from .functionals import Functional
 
 LAGRANGIAN = "lagrangian"
 BUMP = "bump"
@@ -38,7 +38,7 @@ class TradeoffReport:
 def reports_to_csv(reports) -> str:
     lines = [CSV_HEADER]
     for r in reports:
-        kind, x, y = functional_csv_columns(r.mu)
+        kind, x, y = r.mu.csv_columns()
         lines.append(
             f"{kind},{x:.17g},{y:.17g},{r.power:.17g},"
             f"{r.stability_norm:.17g},{r.product:.17g},{r.flag}")

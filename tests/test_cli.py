@@ -98,6 +98,19 @@ def test_identities_suite_filter(tmp_path):
     assert "poly" in text and "svd" not in text
 
 
+def test_identities_suite_error_is_a_failure_not_a_crash(tmp_path, monkeypatch):
+    def broken(*args):
+        raise ArithmeticError("broken ctd")
+
+    monkeypatch.setattr(cli.expansion, "ctd_power", broken)
+    cfg = ExperimentConfig("identities", params={"suites": ["ctd", "svd"]},
+                           out_dir=tmp_path)
+    text, ok = run_identities(cfg)
+    assert not ok
+    assert "FAIL ctd: raised ArithmeticError: broken ctd" in text
+    assert "PASS svd:" in text
+
+
 def test_greedy_runner(tmp_path):
     cfg = ExperimentConfig("greedy", params={"grid_side": 5, "max_steps": 8},
                            out_dir=tmp_path)

@@ -101,7 +101,7 @@ def test_taylor_product_one():
 
 def test_taylor_bad_weights():
     with pytest.raises(BadWeights):
-        ex.taylor_power(lambda j: -1.0, 2, probe=0)
+        ex.taylor_power(lambda j: -1.0, 2)
 
 
 def test_taylor_divergence_warning():

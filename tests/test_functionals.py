@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from tradeoff.functionals import (
     apply,
     apply_to_coeffs,
     functional_from_json,
-    functional_to_json,
     vandermonde,
 )
 
@@ -117,14 +117,30 @@ def test_functional_set_validation():
 
 
 def test_json_round_trip():
-    fs = FunctionalSet([
-        PointEval((0.1, 0.2)),
-        DerivEval(0.5, 2),
-        LaplacianEval((0.3, 0.4)),
-        CoeffEval(7),
-    ])
+    # each kind: its exact JSON dict and its (kind, x, y) CSV columns
+    nan = math.nan
+    contract = {
+        PointEval(0.25): ({"kind": "point", "x": [0.25]}, ("point", 0.25, nan)),
+        PointEval((0.1, 0.2)): ({"kind": "point", "x": [0.1, 0.2]}, ("point", 0.1, 0.2)),
+        DerivEval(0.5, 2): ({"kind": "deriv", "x": [0.5], "order": 2},
+                            ("deriv2", 0.5, nan)),
+        LaplacianEval((0.3, 0.4)): ({"kind": "laplacian", "x": [0.3, 0.4]},
+                                    ("laplacian", 0.3, 0.4)),
+        CoeffEval(7): ({"kind": "coeff", "j": 7}, ("coeff", 7.0, nan)),
+    }
+    fs = FunctionalSet(contract)
     blob = json.dumps(fs.to_json())
     back = FunctionalSet.from_json(json.loads(blob))
     assert back == fs
-    for f in fs:
-        assert functional_from_json(functional_to_json(f)) == f
+    for f, (d, columns) in contract.items():
+        assert f.to_json() == d
+        assert functional_from_json(d) == f
+        # nan != nan, so compare the columns by their text
+        assert repr(f.csv_columns()) == repr(columns)
+    for x in (0.5, [0.5]):
+        assert functional_from_json({"kind": "deriv", "x": x, "order": 1}) \
+            == DerivEval(0.5, 1)
+    with pytest.raises(ValueError, match="unknown functional kind"):
+        functional_from_json({"kind": "integral", "x": [0.5]})
+    with pytest.raises(ValueError):
+        functional_from_json({"kind": "deriv", "x": [0.5, 0.6], "order": 1})

@@ -6,16 +6,19 @@ from tradeoff.errors import UnsupportedPair
 from tradeoff.functionals import (
     CoeffEval,
     DerivEval,
+    Functional,
     FunctionalSet,
     LaplacianEval,
     PointEval,
 )
+from tradeoff.kernel_recovery import tradeoff_report
 from tradeoff.kernels import (
     ChebWeightKernel,
     MaternSobolevKernel,
     gram,
     kernel_from_spec,
 )
+from tradeoff.report import reports_to_csv
 
 
 def test_diagonal_normalization():
@@ -152,6 +155,42 @@ def test_unsupported_applications():
         k1.apply(DerivEval(0.0, 3), PointEval(0.5))
     with pytest.raises(UnsupportedPair):
         k1.apply(CoeffEval(0), PointEval(0.5))
+
+
+class GridValue(Functional):
+    """A 2-d point value declared outside the package, with only the facts a
+    radial kernel and a report read."""
+
+    kind = "grid_value"
+    dim = 2
+    order = 0
+
+    def __init__(self, x):
+        self.site = tuple(x)
+
+    def csv_columns(self):
+        return self.kind, self.site[0], self.site[1]
+
+
+def test_kind_declared_outside_the_package():
+    k = MaternSobolevKernel(5, 2, 1.0)
+    pts = [(0.1, 0.2), (0.5, 0.8), (0.9, 0.1)]
+    mine, ref = [GridValue(p) for p in pts], [PointEval(p) for p in pts]
+    others = [LaplacianEval((0.3, 0.3)), PointEval((0.2, 0.7))]
+    assert np.array_equal(k.cross(mine, others), k.cross(ref, others))
+    assert np.array_equal(k.cross(others, mine), k.cross(others, ref))
+    assert np.array_equal(k.diag(mine), k.diag(ref))
+    assert k.apply(mine[0], others[0]) == k.apply(ref[0], others[0])
+    lam = FunctionalSet([PointEval(p) for p in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]])
+    csv = reports_to_csv(tradeoff_report(k, lam, mine))
+    assert csv == reports_to_csv(tradeoff_report(k, lam, ref)).replace(
+        "\npoint,", "\ngrid_value,")
+
+    class GridSlope(GridValue):
+        order = 1  # in 2-d a radial kernel differentiates only by Laplacians
+
+    with pytest.raises(UnsupportedPair):
+        k.cross([GridSlope(pts[0])], others)
 
 
 def test_cross_matches_scalar_apply():

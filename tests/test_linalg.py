@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from tradeoff.errors import DimensionMismatch, NotPositiveDefinite
-from tradeoff.linalg import factor_spd, pseudoinverse, solve_spd, svd
+from tradeoff.linalg import factor_spd, pseudoinverse, svd
 
 
 def test_solve_identity():
     b = np.array([3.0, -1.0, 2.0])
-    assert np.allclose(solve_spd(np.eye(3), b), b)
+    assert np.allclose(factor_spd(np.eye(3)).solve(b), b)
 
 
 def test_solve_diagonal():
-    x = solve_spd(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
+    x = factor_spd(np.diag([2.0, 4.0])).solve(np.array([2.0, 8.0]))
     assert np.allclose(x, [1.0, 2.0])
 
 
@@ -21,7 +21,7 @@ def test_solve_random_spd_residual():
     m = rng.normal(size=(5, 5))
     a = m.T @ m + np.eye(5)
     b = rng.normal(size=5)
-    x = solve_spd(a, b)
+    x = factor_spd(a).solve(b)
     assert np.linalg.norm(a @ x - b) <= 1e-10
 
 
@@ -30,7 +30,7 @@ def test_solve_matrix_rhs():
     m = rng.normal(size=(6, 6))
     a = m.T @ m + np.eye(6)
     b = rng.normal(size=(6, 4))
-    x = solve_spd(a, b)
+    x = factor_spd(a).solve(b)
     assert np.linalg.norm(a @ x - b) <= 1e-9 * np.linalg.norm(a) * np.linalg.norm(x)
 
 
@@ -48,7 +48,7 @@ def test_not_positive_definite():
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        solve_spd(np.eye(3), np.zeros(4))
+        factor_spd(np.eye(3)).solve(np.zeros(4))
     with pytest.raises(DimensionMismatch):
         factor_spd(np.zeros((2, 3)))
 
