@@ -344,6 +344,10 @@ def run_identities(config: ExperimentConfig) -> tuple[str, bool]:
     """Run the identity suite; returns (report text, all passed).  Suite i
     of IDENTITY_SUITES draws from seed + i."""
     suites = config.get("suites", list(IDENTITY_SUITES))
+    unknown = [name for name in suites if name not in IDENTITY_SUITES]
+    if unknown:
+        raise ValueError(f"unknown identity suites {unknown}; "
+                         f"known: {', '.join(IDENTITY_SUITES)}")
     perturb = bool(config.get("perturb", False))
     lines = [f"identity suite (seed {config.seed})"]
     ok = True

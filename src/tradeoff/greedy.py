@@ -9,6 +9,7 @@ import numpy as np
 
 from .functionals import Functional, FunctionalSet
 from .kernel_recovery import PowerContext
+from .kernels import mirror_upper
 
 STOP_TOLERANCE = "tolerance"
 STOP_MAX_STEPS = "max_steps"
@@ -37,8 +38,20 @@ class GreedyTrace:
 
 def p_greedy(kernel, candidates: FunctionalSet, max_steps: int,
              tolerance: float = 0.0) -> GreedyTrace:
-    """Select functionals by maximal power, recomputing from scratch each
-    step (ties break to the lowest candidate index).
+    """Select functionals by maximal power (ties break to the lowest
+    candidate index).
+
+    Every kernel value is computed once: the diagonal K(mu, mu) of all
+    candidates at step 0, and after each selection one kernel column of all
+    candidates against the new functional.  Step k takes the Gram of the
+    selected set and the rows of the remaining candidates from those
+    columns, then factors the Gram and solves for the Schur-complement
+    powers as a fresh PowerContext would.  For the radial Matern kernel
+    (every CLI path) each cached entry equals the entry that cross()
+    computes in any batch, so the selections and powers match the
+    from-scratch recomputation bit for bit.  A kernel whose cross() rounds
+    differently with the batch shape (ChebWeightKernel is a matmul) can
+    flip a near-tie between candidates of equal power up to roundoff.
 
     Stops after the step whose maximal power is <= tolerance, when max_steps
     selections are made, or when the candidates are exhausted.  The max-power
@@ -51,10 +64,15 @@ def p_greedy(kernel, candidates: FunctionalSet, max_steps: int,
     selected: list[int] = []
     powers: list[float] = []
     reason = STOP_EXHAUSTED
+    p2, _, kmm = PowerContext(kernel, None).power_batch(pool)
+    cols = np.empty((len(pool), min(max_steps, len(pool))))  # column j: K(., j-th pick)
     while remaining:
-        current = FunctionalSet([pool[i] for i in selected]) if selected else None
-        ctx = PowerContext(kernel, current)
-        p2, _, _ = ctx.power_batch([pool[i] for i in remaining])
+        if selected:
+            k = len(selected)
+            cols[:, k - 1] = kernel.cross(pool, [pool[selected[-1]]])[:, 0]
+            ctx = PowerContext(kernel, FunctionalSet([pool[i] for i in selected]),
+                               gram_matrix=mirror_upper(cols[selected, :k]))
+            p2, _ = ctx.schur_batch(kmm[remaining], cols[remaining, :k])
         best = int(np.argmax(p2))  # argmax returns the first (lowest-id) maximizer
         max_power = math.sqrt(float(p2[best]))
         selected.append(remaining.pop(best))

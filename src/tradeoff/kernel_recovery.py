@@ -56,16 +56,21 @@ class PowerEvaluation:
 
 class PowerContext:
     """Factorization of the dual Gram of a functional set, reused across
-    many evaluation functionals."""
+    many evaluation functionals.
 
-    def __init__(self, kernel, lam_set: FunctionalSet | None):
+    gram_matrix is the Gram of lam_set when the caller already holds it
+    (it must equal gram(kernel, lam_set)); by default it is assembled here.
+    """
+
+    def __init__(self, kernel, lam_set: FunctionalSet | None,
+                 gram_matrix: np.ndarray | None = None):
         self.kernel = kernel
         self.lam_set = lam_set
         if lam_set is None or len(lam_set) == 0:
             self.gram = np.zeros((0, 0))
             self.factor = None
         else:
-            self.gram = gram(kernel, lam_set)
+            self.gram = gram(kernel, lam_set) if gram_matrix is None else gram_matrix
             self.factor = linalg.factor_spd(self.gram)
 
     @property

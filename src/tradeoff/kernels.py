@@ -248,8 +248,12 @@ def kernel_from_spec(spec: dict):
     raise ValueError(f"unknown kernel family {family!r}")
 
 
+def mirror_upper(g: np.ndarray) -> np.ndarray:
+    """g made exactly symmetric by mirroring its upper triangle."""
+    return np.triu(g) + np.triu(g, 1).T
+
+
 def gram(kernel, fset) -> np.ndarray:
     """Gram matrix of dual inner products over fset, made exactly symmetric
     by mirroring the upper triangle of kernel.cross(fset, fset)."""
-    g = kernel.cross(fset, fset)
-    return np.triu(g) + np.triu(g, 1).T
+    return mirror_upper(kernel.cross(fset, fset))

@@ -162,6 +162,16 @@ def test_cli_main_identities_exit_codes(tmp_path):
     assert rc == 1
 
 
+def test_cli_main_identities_rejects_unknown_suites(tmp_path):
+    cfg = tmp_path / "identities.json"
+    cfg.write_text(json.dumps({"suites": ["poly", "kernal"]}))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=r"\['kernal'\]") as err:
+        main(["identities", "--config", str(cfg), "--out", str(out)])
+    assert all(name in str(err.value) for name in cli.IDENTITY_SUITES)
+    assert not (out / "identities_report.txt").exists()
+
+
 def test_cli_chebweight_audit(tmp_path):
     spec = {
         "kernel": {"family": "chebweight", "weights": "(j+1)^2", "K": 40},

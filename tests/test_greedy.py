@@ -1,9 +1,19 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tradeoff import linalg
 from tradeoff.functionals import FunctionalSet, PointEval
 from tradeoff.greedy import p_greedy
-from tradeoff.kernels import MaternSobolevKernel
+from tradeoff.kernel_recovery import PowerContext
+from tradeoff.kernels import ChebWeightKernel, MaternSobolevKernel
+
+# bench/checks.py compares greedy powers at this relative precision
+GREEDY_RTOL = 1e-9
 
 
 def _grid_candidates(side, d=2):
@@ -13,6 +23,117 @@ def _grid_candidates(side, d=2):
     else:
         pts = [(x,) for x in h]
     return FunctionalSet([PointEval(p) for p in pts])
+
+
+def _from_scratch(kernel, candidates, max_steps, tolerance=0.0):
+    """Oracle for p_greedy's caches: a fresh PowerContext and power_batch
+    over the remaining candidates at every step."""
+    pool = list(candidates)
+    remaining = list(range(len(pool)))
+    selected, powers = [], []
+    while remaining:
+        prefix = FunctionalSet([pool[i] for i in selected]) if selected else None
+        p2, _, _ = PowerContext(kernel, prefix).power_batch([pool[i] for i in remaining])
+        best = int(np.argmax(p2))
+        powers.append(math.sqrt(float(p2[best])))
+        selected.append(remaining.pop(best))
+        if powers[-1] <= tolerance or len(selected) >= max_steps:
+            break
+    return tuple(selected), tuple(powers)
+
+
+def _assert_matches_oracle(kernel, cands, max_steps, tolerance=0.0):
+    trace = p_greedy(kernel, cands, max_steps=max_steps, tolerance=tolerance)
+    selected, powers = _from_scratch(kernel, cands, max_steps, tolerance)
+    assert trace.selected_indices == selected
+    assert trace.max_powers == powers  # bit for bit
+    return trace
+
+
+def test_matches_from_scratch_on_criterion_9_grid():
+    # symmetric 10x10 grid: true ties at every step must break the same way
+    trace = _assert_matches_oracle(MaternSobolevKernel(5, 2, 1.0), _grid_candidates(10), 25)
+    assert len(trace.selected) == 25
+
+
+def test_matches_from_scratch_on_1d_grid():
+    trace = _assert_matches_oracle(MaternSobolevKernel(4, 1, 0.5),
+                                   _grid_candidates(41, d=1), 15)
+    assert trace.stop_reason == "max_steps"
+
+
+def test_matches_from_scratch_with_tolerance_stop():
+    rng = np.random.default_rng(7)
+    cands = FunctionalSet([PointEval(tuple(p)) for p in rng.uniform(0, 1, size=(50, 2))])
+    trace = _assert_matches_oracle(MaternSobolevKernel(5, 2, 1.0), cands, 50, tolerance=0.05)
+    assert trace.stop_reason == "tolerance"
+    assert len(trace.selected) < 50
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2]), m=st.integers(3, 6),
+       tolerance=st.sampled_from([0.0, 1e-3, 0.1]))
+def test_matches_from_scratch_on_scattered_sets(data, d, m, tolerance):
+    # sites on a 1e-3 lattice: scattered, distinct, and ties still possible
+    sites = data.draw(st.lists(st.tuples(*[st.integers(0, 1000)] * d),
+                               min_size=1, max_size=12, unique=True))
+    cands = FunctionalSet([PointEval(tuple(v / 1000 for v in s)) for s in sites])
+    steps = data.draw(st.integers(1, len(sites)))
+    _assert_matches_oracle(MaternSobolevKernel(m, d, 1.0), cands, steps, tolerance)
+
+
+def test_chebweight_choices_attain_the_oracle_maximum():
+    # ChebWeightKernel.cross is a matmul whose rounding depends on the batch
+    # shape, so near-ties may break differently from the oracle; each choice
+    # must still attain the maximal power on its own prefix
+    k = ChebWeightKernel.from_rule("(j+1)^2", 20)
+    cands = FunctionalSet([PointEval((x,)) for x in np.linspace(-1.0, 1.0, 201)])
+    trace = p_greedy(k, cands, max_steps=20)
+    assert len(trace.selected) == 20
+    for step, idx in enumerate(trace.selected_indices):
+        prefix = FunctionalSet(trace.selected[:step]) if step else None
+        remaining = [i for i in range(len(cands)) if i not in trace.selected_indices[:step]]
+        p2, _, _ = PowerContext(k, prefix).power_batch([cands[i] for i in remaining])
+        best = math.sqrt(float(np.max(p2)))
+        assert math.sqrt(float(p2[remaining.index(idx)])) >= best * (1.0 - GREEDY_RTOL)
+        assert trace.max_powers[step] == pytest.approx(best, rel=GREEDY_RTOL)
+
+
+class _CountingMatern(MaternSobolevKernel):
+    """Matern kernel that records the batch size of each diag and cross call."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+
+    def diag(self, fset):
+        fset = list(fset)
+        self.calls.append(("diag", len(fset)))
+        return super().diag(fset)
+
+    def cross(self, set_a, set_b):
+        set_a, set_b = list(set_a), list(set_b)
+        self.calls.append(("cross", len(set_a), len(set_b)))
+        return super().cross(set_a, set_b)
+
+
+def test_one_diagonal_and_one_kernel_column_per_step(monkeypatch):
+    k = _CountingMatern(5, 2, 1.0)
+    cands = _grid_candidates(5)
+    n, steps = len(cands), 8
+    solves = Counter()
+    solve = linalg.SpdFactor.solve
+
+    def counted_solve(self, b):
+        solves["solve"] += 1
+        return solve(self, b)
+
+    monkeypatch.setattr(linalg.SpdFactor, "solve", counted_solve)
+    trace = p_greedy(k, cands, max_steps=steps)
+    assert len(trace.selected) == steps
+    # the diagonal once, then one column against each new selection but the last
+    assert k.calls == [("diag", n)] + [("cross", n, 1)] * (steps - 1)
+    assert solves["solve"] == steps - 1
 
 
 def test_first_step_tiebreak_lowest_index():
