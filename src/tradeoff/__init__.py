@@ -33,15 +33,13 @@ from .functionals import (
 )
 from .greedy import GreedyTrace, p_greedy
 from .kernel_recovery import (
-    KernelInterpolant,
     PowerEvaluation,
-    fit,
     lagrangian_norm_squared,
     power_squared,
     tradeoff_report,
 )
 from .kernels import ChebWeightKernel, MaternSobolevKernel, gram, kernel_from_spec
-from .linalg import SvdResult, pseudoinverse, svd
+from .linalg import SvdResult, svd
 from .report import TradeoffReport, reports_to_csv
 from .unsymmetric import (
     PoissonSetup,

@@ -19,7 +19,7 @@ from .errors import (
     SingularVandermonde,
 )
 from .functionals import CHEBYSHEV, FunctionalSet, apply_to_coeffs, vandermonde
-from .weights import as_weight_fn, weight_array
+from .weights import WeightRule, parse_weight_rule, weight_array
 
 
 @dataclass
@@ -29,7 +29,7 @@ class ExpansionFunction:
 
     basis: str
     coeffs: np.ndarray
-    weight_rule: object = field(default=None, repr=False)
+    weight_rule: WeightRule | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
@@ -111,16 +111,17 @@ _TAYLOR_PROBE = 200
 def taylor_power(rho, k: int) -> float:
     """Leave-last-out power for Taylor data: sqrt(rho_k) / k!.
 
+    rho is a weight rule: a rule string, a positive number or a WeightRule.
     Warns when the partial sums of rho_j / (j!)^2 look divergent up to the
     probe horizon _TAYLOR_PROBE; the constraint is analytic, so a finite
     check can only warn, never prove.
     """
-    rho_fn = as_weight_fn(rho)
-    rk = float(rho_fn(k))
+    rule = parse_weight_rule(rho)
+    rk = float(rule(k))
     if rk <= 0 or not np.isfinite(rk):
         raise BadWeights(f"rho_{k} = {rk} must be positive")
     log_terms = np.array(
-        [_log_weight(rho_fn, j) - 2.0 * math.lgamma(j + 1)
+        [rule.log(j) - 2.0 * math.lgamma(j + 1)
          for j in range(_TAYLOR_PROBE - 10, _TAYLOR_PROBE)])
     if np.all(np.diff(log_terms) > 0) and log_terms[-1] > -1.0:
         warnings.warn(
@@ -129,17 +130,10 @@ def taylor_power(rho, k: int) -> float:
     return math.sqrt(rk) / math.factorial(k)
 
 
-def _log_weight(rule, j: int) -> float:
-    log = getattr(rule, "log", None)
-    if log is not None:
-        return log(j)
-    return math.log(float(rule(j)))
-
-
 def taylor_lagrangian_norm(rho, k: int) -> float:
     """Norm of the monomial Lagrangian z^k: k! / sqrt(rho_k)."""
-    rho_fn = as_weight_fn(rho)
-    rk = float(rho_fn(k))
+    rule = parse_weight_rule(rho)
+    rk = float(rule(k))
     if rk <= 0 or not np.isfinite(rk):
         raise BadWeights(f"rho_{k} = {rk} must be positive")
     return math.factorial(k) / math.sqrt(rk)
@@ -184,7 +178,7 @@ def cheb_lagrangians(lam_set: FunctionalSet, weights, n: int) -> list[ExpansionF
         raise SingularVandermonde(str(exc)) from None
     if not np.all(np.isfinite(a)):
         raise SingularVandermonde("Vandermonde solve produced non-finite values")
-    rule = as_weight_fn(weights)
+    rule = parse_weight_rule(weights)
     return [ExpansionFunction(CHEBYSHEV, a[i], rule) for i in range(n + 1)]
 
 
@@ -237,4 +231,4 @@ def cheb_bump_min(lam_set, weights, tail_order: int, mu) -> ExpansionFunction:
     if not np.all(np.isfinite(coeffs)) or np.max(np.abs(b @ coeffs - e)) > 1e-8:
         raise RankDeficientConstraints(
             "constraint system is rank deficient in the truncated space")
-    return ExpansionFunction(CHEBYSHEV, coeffs, as_weight_fn(weights))
+    return ExpansionFunction(CHEBYSHEV, coeffs, parse_weight_rule(weights))

@@ -207,13 +207,6 @@ class FunctionalSet:
     def __getitem__(self, i):
         return self.functionals[i]
 
-    def extended(self, f: Functional) -> "FunctionalSet":
-        return FunctionalSet(self.functionals + (f,))
-
-    def without(self, i: int) -> "FunctionalSet":
-        fs = self.functionals[:i] + self.functionals[i + 1:]
-        return FunctionalSet(fs)
-
     def to_json(self) -> list[dict]:
         return [f.to_json() for f in self.functionals]
 

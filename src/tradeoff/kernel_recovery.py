@@ -12,7 +12,7 @@ from . import linalg
 from .errors import ExcludedCase
 from .functionals import Functional, FunctionalSet
 from .kernels import gram
-from .report import FLAG_EXCLUDED, FLAG_OK, LAGRANGIAN, TradeoffReport
+from .report import FLAG_EXCLUDED, FLAG_OK, TradeoffReport
 
 # mu counts as reproduced (excluded case) below this fraction of K_mu_mu
 EXCLUDED_RTOL = 1e-12
@@ -20,20 +20,6 @@ EXCLUDED_RTOL = 1e-12
 # the two power-function routes must agree this closely, with an absolute
 # floor so roundoff near the excluded case cannot trip the check
 _AGREE_RTOL = 1e-7
-
-
-@dataclass(frozen=True)
-class KernelInterpolant:
-    """Generalized kernel interpolant sum_j c_j lambda_j^y K(y, .)."""
-
-    kernel: object
-    functionals: FunctionalSet
-    coefficients: np.ndarray
-    jitter: float
-    residual: float
-
-    def evaluate(self, mu: Functional) -> float:
-        return float((self.kernel.cross([mu], self.functionals) @ self.coefficients)[0])
 
 
 @dataclass(frozen=True)
@@ -154,21 +140,6 @@ class PowerContext:
         return max(self._bordered_form(c[0], c[1:], ev.k_mu_mu, ev.k_mu_lambda), 0.0)
 
 
-def fit(kernel, lam_set: FunctionalSet, data) -> KernelInterpolant:
-    """Solve the Gram system for the generalized interpolant of the data."""
-    data = np.asarray(data, dtype=float)
-    if data.shape != (len(lam_set),):
-        raise ValueError(
-            f"need {len(lam_set)} data values, got shape {data.shape}")
-    ctx = PowerContext(kernel, lam_set)
-    coeff = ctx.factor.solve(data)
-    res = np.linalg.norm(ctx.gram @ coeff - data)
-    scale = np.linalg.norm(data)
-    return KernelInterpolant(
-        kernel=kernel, functionals=lam_set, coefficients=coeff,
-        jitter=ctx.jitter, residual=float(res / scale) if scale else float(res))
-
-
 def power_squared(kernel, lam_set: FunctionalSet | None, mu: Functional) -> PowerEvaluation:
     return PowerContext(kernel, lam_set).power_squared(mu)
 
@@ -188,10 +159,10 @@ def tradeoff_report(kernel, lam_set: FunctionalSet | None, eval_set) -> list[Tra
         if ev.excluded:
             out.append(TradeoffReport(
                 mu=mu, power=math.sqrt(ev.power_squared), stability_norm=math.nan,
-                provenance=LAGRANGIAN, flag=FLAG_EXCLUDED))
+                flag=FLAG_EXCLUDED))
             continue
         out.append(TradeoffReport(
             mu=mu, power=math.sqrt(ev.power_squared),
             stability_norm=math.sqrt(ctx.lagrangian_norm_squared(ev)),
-            provenance=LAGRANGIAN, flag=FLAG_OK))
+            flag=FLAG_OK))
     return out

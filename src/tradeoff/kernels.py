@@ -28,7 +28,7 @@ from scipy.special import kv as _kv
 
 from .errors import UnsupportedPair
 from .functionals import CHEBYSHEV, Functional, vandermonde
-from .weights import parse_weight_rule, weight_array
+from .weights import weight_array
 
 # below s = r/c < 1e-6 the g-terms switch to their r -> 0 limits
 _SMALL_S = 1e-6
@@ -185,19 +185,18 @@ class MaternSobolevKernel:
     def diag(self, fset) -> np.ndarray:
         return np.array([self.apply(f, f) for f in fset])
 
-    def to_spec(self) -> dict:
-        return {"family": "matern", "m": self.m, "d": self.d, "c": self.c}
-
 
 class ChebWeightKernel:
     """Truncated weighted-Chebyshev kernel K(x,y) = sum_j T_j(x) T_j(y) / w_j.
 
     Functional application is the finite sum over j <= K of
     lambda(T_j) mu(T_j) / w_j, so any functional realizable on the Chebyshev
-    basis (point values, derivatives, coefficients) is supported.
+    basis (point values, derivatives, coefficients) is supported.  The
+    weights are a positive vector w_0 .. w_K; ``from_rule`` takes a weight
+    rule instead: a rule string, a positive number or a WeightRule.
     """
 
-    def __init__(self, weights, rule=None):
+    def __init__(self, weights):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty vector")
@@ -205,12 +204,10 @@ class ChebWeightKernel:
             raise ValueError("weights must be positive and finite")
         self.weights = w
         self.truncation = w.size - 1
-        self.rule = rule
 
     @classmethod
     def from_rule(cls, rule, truncation: int) -> "ChebWeightKernel":
-        rule = parse_weight_rule(rule)
-        return cls(weight_array(rule, truncation), rule=rule)
+        return cls(weight_array(rule, truncation))
 
     def __repr__(self) -> str:
         return f"ChebWeightKernel(K={self.truncation})"
@@ -226,14 +223,6 @@ class ChebWeightKernel:
     def diag(self, fset) -> np.ndarray:
         v = vandermonde(fset, CHEBYSHEV, self.truncation)
         return np.einsum("ij,ij->i", v, v / self.weights)
-
-    def to_spec(self) -> dict:
-        spec = {"family": "chebweight", "K": self.truncation}
-        if self.rule is not None:
-            spec["weights"] = parse_weight_rule(self.rule).spec
-        else:
-            spec["weights"] = [float(w) for w in self.weights]
-        return spec
 
 
 def kernel_from_spec(spec: dict):

@@ -1,5 +1,5 @@
-"""Dense linear-algebra substrate: SPD solves with jitter escalation, SVD,
-and tolerance-based pseudoinverse."""
+"""Dense linear-algebra substrate: SPD solves with jitter escalation, and a
+thin SVD with a tolerance-cut rank and pseudoinverse."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -93,9 +93,6 @@ class SvdResult:
             return 0
         return int(np.sum(self.s > rtol * self.s[0]))
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.vt
-
     def pinv(self, rtol: float) -> np.ndarray:
         r = self.rank(rtol)
         inv_s = np.zeros_like(self.s)
@@ -108,21 +105,3 @@ def svd(a) -> SvdResult:
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     return SvdResult(u=u, s=s, vt=vt)
 
-
-def default_pinv_rtol(a) -> float:
-    return 1e-12 * max(a.shape)
-
-
-def pseudoinverse(a, rtol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD, zeroing s_k < rtol * s_max.
-
-    rtol defaults to 1e-12 * max(rows, cols).
-    """
-    a = _as_matrix(a)
-    if a.size == 0:
-        raise DimensionMismatch("matrix is empty")
-    if rtol is None:
-        rtol = default_pinv_rtol(a)
-    if not 0.0 < rtol < 1.0:
-        raise ValueError(f"rtol must lie in (0, 1), got {rtol}")
-    return svd(a).pinv(rtol)

@@ -5,10 +5,6 @@ from dataclasses import dataclass
 
 from .functionals import Functional
 
-LAGRANGIAN = "lagrangian"
-BUMP = "bump"
-PSEUDO_LAGRANGIAN = "pseudo_lagrangian"
-
 FLAG_OK = "ok"
 FLAG_EXCLUDED = "excluded"
 
@@ -23,7 +19,6 @@ class TradeoffReport:
     mu: Functional
     power: float
     stability_norm: float
-    provenance: str
     flag: str = FLAG_OK
 
     @property

@@ -30,8 +30,9 @@ def unit_square_perimeter(t) -> np.ndarray:
     return out
 
 
-def _on_boundary(p, tol=1e-12) -> bool:
+def _on_boundary(p) -> bool:
     x, y = p
+    tol = 1e-12
     if not (-tol <= x <= 1 + tol and -tol <= y <= 1 + tol):
         return False
     return min(abs(x), abs(1 - x), abs(y), abs(1 - y)) <= tol
@@ -82,21 +83,6 @@ class PoissonSetup:
     def trial_functionals(self) -> list[PointEval]:
         return [PointEval(tuple(p)) for p in self.trial]
 
-    def to_json(self) -> dict:
-        return {
-            "kernel": self.kernel.to_spec(),
-            "interior": self.interior.tolist(),
-            "boundary": self.boundary.tolist(),
-            "trial": self.trial.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "PoissonSetup":
-        return cls(kernel=kernels.kernel_from_spec(d["kernel"]),
-                   interior=np.asarray(d["interior"]),
-                   boundary=np.asarray(d["boundary"]),
-                   trial=np.asarray(d["trial"]))
-
 
 @dataclass(frozen=True)
 class UnsymmetricRecovery:
@@ -108,7 +94,7 @@ class UnsymmetricRecovery:
     coefficient_map: np.ndarray  # C, N x M
     rtol: float
     rank: int
-    vandermonde: np.ndarray = field(repr=False, default=None)  # A, M x N
+    vandermonde: np.ndarray = field(repr=False)  # A, M x N
 
     @property
     def m(self) -> int:
@@ -131,12 +117,16 @@ class UnsymmetricRecovery:
 
 def build_kansa(setup: PoissonSetup, rtol: float | None = None) -> UnsymmetricRecovery:
     """Assemble the generalized Vandermonde A with entries lambda_j(v_k) and
-    take C as its tolerance-cut pseudoinverse."""
+    take C as its pseudoinverse, cutting singular values at or below
+    rtol * s_max; rtol must lie in (0, 1) and defaults to
+    1e-12 * max(M, N)."""
     lam_set = setup.functionals()
     trial = setup.trial_functionals()
     a = setup.kernel.cross(lam_set, trial)  # M x N
     if rtol is None:
-        rtol = linalg.default_pinv_rtol(a)
+        rtol = 1e-12 * max(a.shape)
+    if not 0.0 < rtol < 1.0:
+        raise ValueError(f"rtol must lie in (0, 1), got {rtol}")
     dec = linalg.svd(a)
     return UnsymmetricRecovery(
         kernel=setup.kernel, functionals=lam_set, trial=setup.trial,

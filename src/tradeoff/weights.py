@@ -1,6 +1,7 @@
 """Coefficient-weight rules j -> w_j > 0, parseable from strings.
 
-Grammar (documented in the CLI help):
+A rule is given as a string, a positive real number, or a WeightRule.
+String grammar (documented in the CLI help):
 
     "1"                      constant weight (any positive literal)
     "(j+1)^2"                polynomial weight (j+a)^p with a, p literals
@@ -9,6 +10,7 @@ Grammar (documented in the CLI help):
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -24,7 +26,6 @@ _FACT_RE = re.compile(r"^factorial_sq_over:(\d+(?:\.\d+)?)\^j$")
 class WeightRule:
     """Positive weight sequence with a log-space evaluator for large j."""
 
-    spec: str
     kind: str
     a: float = 0.0
     p: float = 0.0
@@ -53,11 +54,15 @@ class WeightRule:
 
 
 def parse_weight_rule(spec) -> WeightRule:
-    """Parse a weight rule from a string (or pass a WeightRule through)."""
+    """Parse a weight rule from a string or a real number (not a bool), or
+    pass a WeightRule through; anything else is BadWeights."""
     if isinstance(spec, WeightRule):
         return spec
-    if isinstance(spec, (int, float)):
+    if isinstance(spec, numbers.Real) and not isinstance(spec, bool):
         spec = repr(float(spec))
+    if not isinstance(spec, str):
+        raise BadWeights(
+            f"a weight rule is a string, a number or a WeightRule, got {spec!r}")
     text = spec.strip()
     try:
         c = float(text)
@@ -66,35 +71,24 @@ def parse_weight_rule(spec) -> WeightRule:
     if c is not None:
         if c <= 0:
             raise BadWeights(f"constant weight must be positive, got {c}")
-        return WeightRule(spec=text, kind="const", a=c)
+        return WeightRule(kind="const", a=c)
     m = _POLY_RE.match(text)
     if m:
         a, p = float(m.group(1)), float(m.group(2))
         if a <= 0:
             raise BadWeights(f"(j{a:+g})^{p:g} is not positive at j=0")
-        return WeightRule(spec=text, kind="poly", a=a, p=p)
+        return WeightRule(kind="poly", a=a, p=p)
     m = _FACT_RE.match(text)
     if m:
         b = float(m.group(1))
         if b <= 0:
             raise BadWeights(f"base must be positive in {text!r}")
-        return WeightRule(spec=text, kind="factorial_sq_over", a=b)
+        return WeightRule(kind="factorial_sq_over", a=b)
     raise BadWeights(f"cannot parse weight rule {text!r}")
 
 
-def as_weight_fn(rule):
-    """Accept a WeightRule, a rule string, or a bare callable."""
-    if callable(rule) and not isinstance(rule, (str, WeightRule)):
-        return rule
-    return parse_weight_rule(rule)
-
-
 def weight_array(rule, n: int) -> np.ndarray:
-    fn = as_weight_fn(rule)
-    if isinstance(fn, WeightRule):
-        w = fn.array(n)
-    else:
-        w = np.array([float(fn(j)) for j in range(n + 1)])
+    w = parse_weight_rule(rule).array(n)
     if np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise BadWeights("weights must be positive and finite")
     return w

@@ -7,6 +7,7 @@ import pytest
 
 from tradeoff import cli
 from tradeoff.cli import ExperimentConfig, main, run_fig1, run_greedy, run_identities, run_kansa
+from tradeoff.errors import BadWeights
 from tradeoff.kernels import MaternSobolevKernel
 
 
@@ -170,6 +171,27 @@ def test_cli_main_identities_rejects_unknown_suites(tmp_path):
         main(["identities", "--config", str(cfg), "--out", str(out)])
     assert all(name in str(err.value) for name in cli.IDENTITY_SUITES)
     assert not (out / "identities_report.txt").exists()
+
+
+@pytest.mark.parametrize("rtol", [2.0, 0, -1])
+def test_cli_main_kansa_rejects_rtol_outside_unit_interval(tmp_path, rtol):
+    cfg = tmp_path / "kansa.json"
+    cfg.write_text(json.dumps({"n_side": 3, "eval_interior_side": 3,
+                               "eval_boundary": 8, "rtol": rtol}))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="rtol must lie in"):
+        main(["kansa", "--config", str(cfg), "--out", str(out)])
+    assert not (out / "kansa_summary.json").exists()
+
+
+@pytest.mark.parametrize("weights", [[1, 4, 9], True], ids=["list", "true"])
+def test_cli_main_fig1_rejects_unparseable_weights(tmp_path, weights):
+    cfg = tmp_path / "fig1.json"
+    cfg.write_text(json.dumps({"weights": weights}))
+    out = tmp_path / "out"
+    with pytest.raises(BadWeights, match="weight rule"):
+        main(["fig1", "--config", str(cfg), "--out", str(out)])
+    assert not (out / "fig1_summary.json").exists()
 
 
 def test_cli_chebweight_audit(tmp_path):

@@ -111,9 +111,6 @@ def test_functional_set_validation():
         FunctionalSet([])
     with pytest.raises(ValueError):
         FunctionalSet([PointEval(0.0), PointEval(0.0)])
-    fs = FunctionalSet([PointEval(0.0), PointEval(1.0)])
-    assert len(fs.without(0)) == 1
-    assert len(fs.extended(PointEval(2.0))) == 3
 
 
 def test_json_round_trip():

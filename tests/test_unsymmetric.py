@@ -42,15 +42,6 @@ def test_regular_setup_counts_and_validation():
                      boundary=np.array([[0.3, 0.3]]), trial=np.array([[0.5, 0.5]]))
 
 
-def test_setup_json_round_trip():
-    k = MaternSobolevKernel(5, 2, 1.0)
-    s = PoissonSetup.regular(k, n_side=3, n_boundary=8)
-    back = PoissonSetup.from_json(s.to_json())
-    assert np.allclose(back.interior, s.interior)
-    assert np.allclose(back.boundary, s.boundary)
-    assert back.kernel == k
-
-
 def _point_interpolation_setup(kernel, pts):
     """All-PointEval data at pts with trial translates at the same points."""
     lam_set = FunctionalSet([PointEval(tuple(p)) for p in pts])
@@ -68,7 +59,7 @@ def test_square_case_is_interpolatory():
     lam_set = _point_interpolation_setup(k, pts)
     a = k.cross(lam_set, [PointEval(tuple(p)) for p in pts])
     from tradeoff import linalg
-    c = linalg.pseudoinverse(a)
+    c = linalg.svd(a).pinv(1e-12 * max(a.shape))
     lam_a = a @ c  # lambda_j(a_k) for the square case
     assert np.allclose(lam_a, np.eye(9), atol=1e-6)
 
