@@ -28,7 +28,6 @@ from .functionals import (
     FunctionalSet,
     LaplacianEval,
     PointEval,
-    apply,
     vandermonde,
 )
 from .greedy import GreedyTrace, p_greedy

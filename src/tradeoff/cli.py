@@ -59,6 +59,14 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _at_least(config: ExperimentConfig, key: str, default: int, low: int) -> int:
+    """config[key] (default if absent), rejected unless it is >= low."""
+    value = config.get(key, default)
+    if value < low:
+        raise ValueError(f"{key} must be >= {low}, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # fig1: norms of Lagrangians vs norm-minimal bumps in a weighted Chebyshev space
 
@@ -79,7 +87,7 @@ def run_fig1(config: ExperimentConfig) -> dict:
     The reported product pairs the one-tail-term power bound with the
     Lagrangian norm; the full truncated tail power is emitted alongside.
     """
-    n_points = config.get("n_points", 11)
+    n_points = _at_least(config, "n_points", 11, 2)
     extra = config.get("extra_point", -0.9056)
     tail = config.get("tail_order", 121)
     weights = config.get("weights", "(j+1)^2")
@@ -147,8 +155,8 @@ def run_kansa(config: ExperimentConfig) -> dict:
     m = config.get("m", 5)
     scale = config.get("c", 1.0)
     rtol = config.get("rtol", KANSA_DEFAULT_RTOL)
-    eval_side = config.get("eval_interior_side", 21)
-    eval_boundary = config.get("eval_boundary", 64)
+    eval_side = _at_least(config, "eval_interior_side", 21, 1)
+    eval_boundary = _at_least(config, "eval_boundary", 64, 1)
 
     kernel = MaternSobolevKernel(m, 2, scale)
     setup = PoissonSetup.regular(
@@ -453,23 +461,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Exit code 0 on success, 1 when an identity suite
+    fails, 2 on bad input (argparse's code for usage errors)."""
     args = build_parser().parse_args(argv)
-    params = {}
-    if args.config is not None:
-        params = json.loads(Path(args.config).read_text())
-    if getattr(args, "suites", None):
-        params["suites"] = args.suites
-    if getattr(args, "perturb", False):
-        params["perturb"] = True
-    config = ExperimentConfig(
-        name=args.command, params=params,
-        out_dir=args.out, seed=args.seed)
+    try:
+        params = {}
+        if args.config is not None:
+            params = json.loads(Path(args.config).read_text())
+        if getattr(args, "suites", None):
+            params["suites"] = args.suites
+        if getattr(args, "perturb", False):
+            params["perturb"] = True
+        config = ExperimentConfig(
+            name=args.command, params=params,
+            out_dir=args.out, seed=args.seed)
 
-    if args.command == "identities":
-        text, ok = run_identities(config)
-        sys.stdout.write(text)
-        return 0 if ok else 1
-    summary = _RUNNERS[args.command](config)
+        if args.command == "identities":
+            text, ok = run_identities(config)
+            sys.stdout.write(text)
+            return 0 if ok else 1
+        summary = _RUNNERS[args.command](config)
+    except (TradeoffError, ValueError) as exc:
+        sys.stderr.write(f"tradeoff: error: {exc}\n")
+        return 2
     sys.stdout.write(_json_dumps(summary))
     return 0
 

@@ -14,7 +14,7 @@ class NotPositiveDefinite(TradeoffError, ValueError):
 
 
 class UnsupportedPair(TradeoffError, ValueError):
-    """A functional cannot act on the given basis or kernel."""
+    """A functional cannot act on a Chebyshev expansion or on the given kernel."""
 
 
 class DuplicateNodes(TradeoffError, ValueError):

@@ -18,18 +18,17 @@ from .errors import (
     RankDeficientConstraints,
     SingularVandermonde,
 )
-from .functionals import CHEBYSHEV, FunctionalSet, apply_to_coeffs, vandermonde
+from .functionals import FunctionalSet, apply_to_coeffs, vandermonde
 from .weights import WeightRule, parse_weight_rule, weight_array
 
 
 @dataclass
 class ExpansionFunction:
-    """A function given by finitely many coefficients against a named basis,
-    normed by sqrt(sum a_j^2 w_j)."""
+    """A function given by finitely many Chebyshev coefficients, normed by
+    sqrt(sum a_j^2 w_j) under its weight rule."""
 
-    basis: str
     coeffs: np.ndarray
-    weight_rule: WeightRule | None = field(default=None, repr=False)
+    weight_rule: WeightRule = field(repr=False)
 
     def __post_init__(self):
         self.coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
@@ -37,8 +36,6 @@ class ExpansionFunction:
             raise ValueError("coefficients must be finite")
 
     def weight_vector(self) -> np.ndarray:
-        if self.weight_rule is None:
-            raise BadWeights("no weight rule attached to this expansion")
         return weight_array(self.weight_rule, len(self.coeffs) - 1)
 
     def norm_squared(self) -> float:
@@ -49,9 +46,7 @@ class ExpansionFunction:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if self.basis == CHEBYSHEV:
-            return np.polynomial.chebyshev.chebval(x, self.coeffs)
-        return np.polynomial.polynomial.polyval(x, self.coeffs)
+        return np.polynomial.chebyshev.chebval(x, self.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +166,7 @@ def cheb_lagrangians(lam_set: FunctionalSet, weights, n: int) -> list[ExpansionF
     if len(lam_set) != n + 1:
         raise SingularVandermonde(
             f"need exactly n+1 = {n + 1} functionals, got {len(lam_set)}")
-    v = vandermonde(lam_set, CHEBYSHEV, n)
+    v = vandermonde(lam_set, n)
     try:
         a = np.linalg.solve(v.T, np.eye(n + 1))
     except np.linalg.LinAlgError as exc:
@@ -179,7 +174,7 @@ def cheb_lagrangians(lam_set: FunctionalSet, weights, n: int) -> list[ExpansionF
     if not np.all(np.isfinite(a)):
         raise SingularVandermonde("Vandermonde solve produced non-finite values")
     rule = parse_weight_rule(weights)
-    return [ExpansionFunction(CHEBYSHEV, a[i], rule) for i in range(n + 1)]
+    return [ExpansionFunction(a[i], rule) for i in range(n + 1)]
 
 
 def cheb_power_addone(lam_set: FunctionalSet, weights, n: int, tail_order: int,
@@ -207,9 +202,9 @@ def cheb_power_one_term(lam_set: FunctionalSet, weights, n: int, mu) -> float:
 
 def _tail_errors(lam_set, weights, n, tail_order, mu) -> np.ndarray:
     lagr = cheb_lagrangians(lam_set, weights, n)
-    mu_u = np.array([apply_to_coeffs(mu, CHEBYSHEV, u.coeffs) for u in lagr])
-    lam_tail = vandermonde(lam_set, CHEBYSHEV, tail_order)[:, n + 1:]
-    mu_tail = vandermonde([mu], CHEBYSHEV, tail_order)[0, n + 1:]
+    mu_u = np.array([apply_to_coeffs(mu, u.coeffs) for u in lagr])
+    lam_tail = vandermonde(lam_set, tail_order)[:, n + 1:]
+    mu_tail = vandermonde([mu], tail_order)[0, n + 1:]
     return mu_tail - mu_u @ lam_tail
 
 
@@ -218,7 +213,7 @@ def cheb_bump_min(lam_set, weights, tail_order: int, mu) -> ExpansionFunction:
     to lambda_j(f) = 0 for all j and mu(f) = 1, by the weighted least-norm
     solution a = W^-1 B^T (B W^-1 B^T)^-1 e."""
     lams = list(lam_set) if lam_set is not None else []
-    b = vandermonde(lams + [mu], CHEBYSHEV, tail_order)
+    b = vandermonde(lams + [mu], tail_order)
     w = weight_array(weights, tail_order)
     gram = (b / w) @ b.T
     e = np.zeros(len(lams) + 1)
@@ -231,4 +226,4 @@ def cheb_bump_min(lam_set, weights, tail_order: int, mu) -> ExpansionFunction:
     if not np.all(np.isfinite(coeffs)) or np.max(np.abs(b @ coeffs - e)) > 1e-8:
         raise RankDeficientConstraints(
             "constraint system is rank deficient in the truncated space")
-    return ExpansionFunction(CHEBYSHEV, coeffs, parse_weight_rule(weights))
+    return ExpansionFunction(coeffs, parse_weight_rule(weights))

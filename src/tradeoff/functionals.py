@@ -1,5 +1,6 @@
 """Data and evaluation functionals: point values, derivatives, Laplacians,
-and expansion-coefficient extraction, plus their action on expansion bases."""
+and expansion-coefficient extraction, plus their action on Chebyshev
+expansions."""
 from __future__ import annotations
 
 import math
@@ -7,13 +8,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial import polynomial as _poly
 
 from .errors import UnsupportedPair
-
-CHEBYSHEV = "chebyshev"
-MONOMIAL = "monomial"
-ORTHONORMAL = "orthonormal"
 
 
 class Functional:
@@ -24,10 +20,10 @@ class Functional:
     of the space it acts on), ``order`` (its total derivative order for a
     radial kernel, None if a radial kernel cannot apply it), ``site`` (the
     point a radial kernel differences, a tuple), ``csv_columns()`` (its
-    (kind, x, y) report columns, nan where unused) and ``on_coeffs(basis,
-    coeffs)`` (its value on an expansion with float coefficients; by default
-    UnsupportedPair).  Per-kind constants are unannotated class attributes,
-    so they stay out of the dataclass fields, equality and hashing;
+    (kind, x, y) report columns, nan where unused) and ``on_coeffs(coeffs)``
+    (its value on the Chebyshev expansion with those float coefficients; by
+    default UnsupportedPair).  Per-kind constants are unannotated class
+    attributes, so they stay out of the dataclass fields, equality and hashing;
     ``to_json``/``from_json`` map those fields.  A new kind is one class
     plus one ``_KINDS`` entry.
     """
@@ -46,8 +42,8 @@ class Functional:
     def from_json(cls, d: dict) -> "Functional":
         return cls(**{f.name: d[f.name] for f in fields(cls)})
 
-    def on_coeffs(self, basis: str, coeffs: np.ndarray) -> float:
-        raise UnsupportedPair(f"cannot apply {self!r} to a {basis} expansion")
+    def on_coeffs(self, coeffs: np.ndarray) -> float:
+        raise UnsupportedPair(f"cannot apply {self!r} to a Chebyshev expansion")
 
 
 def _point(x) -> tuple[float, ...]:
@@ -82,12 +78,11 @@ class PointEval(Functional):
     def csv_columns(self) -> tuple[str, float, float]:
         return self.kind, self.x[0], self.x[1] if len(self.x) > 1 else math.nan
 
-    def on_coeffs(self, basis: str, coeffs: np.ndarray) -> float:
-        val, _ = _basis_mod(basis)
+    def on_coeffs(self, coeffs: np.ndarray) -> float:
         if self.dim != 1:
             raise UnsupportedPair(
                 f"{self!r} acts on R^{self.dim}, expansion is univariate")
-        return float(val(self.x[0], coeffs))
+        return float(_cheb.chebval(self.x[0], coeffs))
 
 
 @dataclass(frozen=True)
@@ -119,12 +114,11 @@ class DerivEval(Functional):
     def csv_columns(self) -> tuple[str, float, float]:
         return f"{self.kind}{self.order}", self.x, math.nan
 
-    def on_coeffs(self, basis: str, coeffs: np.ndarray) -> float:
-        val, der = _basis_mod(basis)
-        d = der(coeffs, self.order) if self.order else coeffs
+    def on_coeffs(self, coeffs: np.ndarray) -> float:
+        d = _cheb.chebder(coeffs, self.order) if self.order else coeffs
         if len(np.atleast_1d(d)) == 0:
             return 0.0
-        return float(val(self.x, d))
+        return float(_cheb.chebval(self.x, d))
 
 
 @dataclass(frozen=True)
@@ -153,9 +147,8 @@ class LaplacianEval(Functional):
 
 @dataclass(frozen=True)
 class CoeffEval(Functional):
-    """f -> j-th expansion coefficient of f, on every basis (indices beyond
-    the stored length read as zero, expansions being implicitly infinite
-    with zero tails)."""
+    """f -> j-th Chebyshev coefficient of f (indices beyond the stored length
+    read as zero, expansions being implicitly infinite with zero tails)."""
 
     j: int
 
@@ -170,7 +163,7 @@ class CoeffEval(Functional):
     def csv_columns(self) -> tuple[str, float, float]:
         return self.kind, float(self.j), math.nan
 
-    def on_coeffs(self, basis: str, coeffs: np.ndarray) -> float:
+    def on_coeffs(self, coeffs: np.ndarray) -> float:
         return float(coeffs[self.j]) if self.j < len(coeffs) else 0.0
 
 
@@ -215,48 +208,30 @@ class FunctionalSet:
         return cls([functional_from_json(d) for d in items])
 
 
-def _basis_mod(basis: str):
-    if basis == CHEBYSHEV:
-        return _cheb.chebval, _cheb.chebder
-    if basis == MONOMIAL:
-        return _poly.polyval, _poly.polyder
-    if basis == ORTHONORMAL:
-        raise UnsupportedPair(
-            "an abstract orthonormal basis only supports coefficient functionals")
-    raise UnsupportedPair(f"unknown basis {basis!r}")
+def apply_to_coeffs(lam: Functional, coeffs) -> float:
+    """Apply a functional to the function with the given Chebyshev
+    coefficients.  Point and derivative evaluation need a univariate
+    functional; Laplacians raise UnsupportedPair."""
+    return lam.on_coeffs(np.atleast_1d(np.asarray(coeffs, dtype=float)))
 
 
-def apply_to_coeffs(lam: Functional, basis: str, coeffs) -> float:
-    """Apply a functional to the function with the given expansion coefficients.
-
-    CoeffEval works on every basis.  Point and derivative evaluation need a
-    concrete univariate basis.
-    """
-    return lam.on_coeffs(basis, np.atleast_1d(np.asarray(coeffs, dtype=float)))
-
-
-def apply(lam: Functional, f) -> float:
-    """Apply lam to an expansion function (anything with .basis and .coeffs)."""
-    return apply_to_coeffs(lam, f.basis, f.coeffs)
-
-
-def vandermonde(lam_set, basis: str, n_max: int) -> np.ndarray:
-    """Generalized Vandermonde matrix with entries lambda_j(b_k).
+def vandermonde(lam_set, n_max: int) -> np.ndarray:
+    """Generalized Vandermonde matrix with entries lambda_j(T_k).
 
     Rows follow the ordering of lam_set (a FunctionalSet or any sequence of
-    functionals), columns run over the basis functions b_0 .. b_{n_max}.
+    functionals), columns run over the Chebyshev polynomials T_0 .. T_{n_max}.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     lam_set = list(lam_set)
     out = np.empty((len(lam_set), n_max + 1))
-    # 1-d point evaluations in one shot on the Chebyshev basis; other rows one by one
+    # 1-d point evaluations in one shot; other rows one by one
     pts = {i: f.x[0] for i, f in enumerate(lam_set)
-           if basis == CHEBYSHEV and f.kind == PointEval.kind and f.dim == 1}
+           if f.kind == PointEval.kind and f.dim == 1}
     if pts:
         out[list(pts)] = _cheb.chebvander(np.asarray(list(pts.values())), n_max)
     eye = np.eye(n_max + 1)
     for i, lam in enumerate(lam_set):
         if i not in pts:
-            out[i] = [lam.on_coeffs(basis, eye[k]) for k in range(n_max + 1)]
+            out[i] = [lam.on_coeffs(eye[k]) for k in range(n_max + 1)]
     return out

@@ -27,7 +27,7 @@ from scipy.special import gamma as _gamma
 from scipy.special import kv as _kv
 
 from .errors import UnsupportedPair
-from .functionals import CHEBYSHEV, Functional, vandermonde
+from .functionals import Functional, vandermonde
 from .weights import weight_array
 
 # below s = r/c < 1e-6 the g-terms switch to their r -> 0 limits
@@ -192,8 +192,7 @@ class ChebWeightKernel:
     Functional application is the finite sum over j <= K of
     lambda(T_j) mu(T_j) / w_j, so any functional realizable on the Chebyshev
     basis (point values, derivatives, coefficients) is supported.  The
-    weights are a positive vector w_0 .. w_K; ``from_rule`` takes a weight
-    rule instead: a rule string, a positive number or a WeightRule.
+    weights are a positive vector w_0 .. w_K.
     """
 
     def __init__(self, weights):
@@ -205,10 +204,6 @@ class ChebWeightKernel:
         self.weights = w
         self.truncation = w.size - 1
 
-    @classmethod
-    def from_rule(cls, rule, truncation: int) -> "ChebWeightKernel":
-        return cls(weight_array(rule, truncation))
-
     def __repr__(self) -> str:
         return f"ChebWeightKernel(K={self.truncation})"
 
@@ -216,23 +211,29 @@ class ChebWeightKernel:
         return float(self.cross([lam], [mu])[0, 0])
 
     def cross(self, set_a, set_b) -> np.ndarray:
-        va = vandermonde(set_a, CHEBYSHEV, self.truncation)
-        vb = vandermonde(set_b, CHEBYSHEV, self.truncation)
+        va = vandermonde(set_a, self.truncation)
+        vb = vandermonde(set_b, self.truncation)
         return va @ (vb / self.weights).T
 
     def diag(self, fset) -> np.ndarray:
-        v = vandermonde(fset, CHEBYSHEV, self.truncation)
+        v = vandermonde(fset, self.truncation)
         return np.einsum("ij,ij->i", v, v / self.weights)
 
 
 def kernel_from_spec(spec: dict):
+    """Kernel from a JSON spec: {"family": "matern", "m", "d", "c"} or
+    {"family": "chebweight", "weights", "K"}, where the weights are a rule
+    string, or a list of K + 1 entries w_0 .. w_K (K may then be omitted)."""
     family = spec.get("family")
     if family == "matern":
         return MaternSobolevKernel(spec["m"], spec["d"], spec.get("c", 1.0))
     if family == "chebweight":
         w = spec["weights"]
         if isinstance(w, str):
-            return ChebWeightKernel.from_rule(w, spec["K"])
+            return ChebWeightKernel(weight_array(w, spec["K"]))
+        if "K" in spec and np.size(w) != spec["K"] + 1:
+            raise ValueError(f"chebweight weights list has {np.size(w)} entries, "
+                             f"K = {spec['K']} needs K + 1 = {spec['K'] + 1}")
         return ChebWeightKernel(w)
     raise ValueError(f"unknown kernel family {family!r}")
 

@@ -1,13 +1,13 @@
 import json
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tradeoff import cli
 from tradeoff.cli import ExperimentConfig, main, run_fig1, run_greedy, run_identities, run_kansa
-from tradeoff.errors import BadWeights
 from tradeoff.kernels import MaternSobolevKernel
 
 
@@ -163,35 +163,63 @@ def test_cli_main_identities_exit_codes(tmp_path):
     assert rc == 1
 
 
-def test_cli_main_identities_rejects_unknown_suites(tmp_path):
-    cfg = tmp_path / "identities.json"
-    cfg.write_text(json.dumps({"suites": ["poly", "kernal"]}))
+def _rejected(tmp_path, capsys, command: str, params: dict) -> tuple[str, Path]:
+    """Run main on a bad config and require exit code 2, nothing on stdout
+    and one "tradeoff: error: " line on stderr; returns that line and the
+    output directory."""
+    cfg = tmp_path / f"{command}.json"
+    cfg.write_text(json.dumps(params))
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match=r"\['kernal'\]") as err:
-        main(["identities", "--config", str(cfg), "--out", str(out)])
-    assert all(name in str(err.value) for name in cli.IDENTITY_SUITES)
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tradeoff: error: ")
+    assert captured.err.count("\n") == 1
+    return captured.err, out
+
+
+def test_cli_main_identities_rejects_unknown_suites(tmp_path, capsys):
+    err, out = _rejected(tmp_path, capsys, "identities", {"suites": ["poly", "kernal"]})
+    assert "['kernal']" in err
+    assert all(name in err for name in cli.IDENTITY_SUITES)
     assert not (out / "identities_report.txt").exists()
 
 
 @pytest.mark.parametrize("rtol", [2.0, 0, -1])
-def test_cli_main_kansa_rejects_rtol_outside_unit_interval(tmp_path, rtol):
-    cfg = tmp_path / "kansa.json"
-    cfg.write_text(json.dumps({"n_side": 3, "eval_interior_side": 3,
-                               "eval_boundary": 8, "rtol": rtol}))
-    out = tmp_path / "out"
-    with pytest.raises(ValueError, match="rtol must lie in"):
-        main(["kansa", "--config", str(cfg), "--out", str(out)])
+def test_cli_main_kansa_rejects_rtol_outside_unit_interval(tmp_path, capsys, rtol):
+    err, out = _rejected(tmp_path, capsys, "kansa", {
+        "n_side": 3, "eval_interior_side": 3, "eval_boundary": 8, "rtol": rtol})
+    assert "rtol must lie in" in err
     assert not (out / "kansa_summary.json").exists()
 
 
 @pytest.mark.parametrize("weights", [[1, 4, 9], True], ids=["list", "true"])
-def test_cli_main_fig1_rejects_unparseable_weights(tmp_path, weights):
-    cfg = tmp_path / "fig1.json"
-    cfg.write_text(json.dumps({"weights": weights}))
-    out = tmp_path / "out"
-    with pytest.raises(BadWeights, match="weight rule"):
-        main(["fig1", "--config", str(cfg), "--out", str(out)])
+def test_cli_main_fig1_rejects_unparseable_weights(tmp_path, capsys, weights):
+    err, out = _rejected(tmp_path, capsys, "fig1", {"weights": weights})
+    assert "weight rule" in err
     assert not (out / "fig1_summary.json").exists()
+
+
+@pytest.mark.parametrize("command,params,key", [
+    ("kansa", {"n_side": 3, "eval_interior_side": 3, "eval_boundary": 0}, "eval_boundary"),
+    ("kansa", {"n_side": 3, "eval_interior_side": 0, "eval_boundary": 8},
+     "eval_interior_side"),
+    ("fig1", {"n_points": 1}, "n_points"),
+], ids=["eval_boundary", "eval_interior_side", "n_points"])
+def test_cli_main_rejects_empty_grids(tmp_path, capsys, command, params, key):
+    err, out = _rejected(tmp_path, capsys, command, params)
+    assert f"{key} must be >= " in err
+    assert not out.exists()
+
+
+def test_cli_main_audit_rejects_chebweight_list_that_mismatches_K(tmp_path, capsys):
+    err, out = _rejected(tmp_path, capsys, "audit", {
+        "kernel": {"family": "chebweight", "weights": [1, 2], "K": 5},
+        "data": [{"kind": "point", "x": [-0.5]}],
+        "eval": [{"kind": "point", "x": [0.1]}],
+    })
+    assert "K + 1 = 6" in err
+    assert not (out / "audit_report.csv").exists()
 
 
 def test_cli_chebweight_audit(tmp_path):

@@ -11,6 +11,7 @@ from tradeoff.functionals import FunctionalSet, PointEval
 from tradeoff.greedy import p_greedy
 from tradeoff.kernel_recovery import PowerContext
 from tradeoff.kernels import ChebWeightKernel, MaternSobolevKernel
+from tradeoff.weights import weight_array
 
 # bench/checks.py compares greedy powers at this relative precision
 GREEDY_RTOL = 1e-9
@@ -86,7 +87,7 @@ def test_chebweight_choices_attain_the_oracle_maximum():
     # ChebWeightKernel.cross is a matmul whose rounding depends on the batch
     # shape, so near-ties may break differently from the oracle; each choice
     # must still attain the maximal power on its own prefix
-    k = ChebWeightKernel.from_rule("(j+1)^2", 20)
+    k = ChebWeightKernel(weight_array("(j+1)^2", 20))
     cands = FunctionalSet([PointEval((x,)) for x in np.linspace(-1.0, 1.0, 201)])
     trace = p_greedy(k, cands, max_steps=20)
     assert len(trace.selected) == 20

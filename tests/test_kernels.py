@@ -19,6 +19,7 @@ from tradeoff.kernels import (
     kernel_from_spec,
 )
 from tradeoff.report import reports_to_csv
+from tradeoff.weights import weight_array
 
 
 def test_diagonal_normalization():
@@ -116,7 +117,7 @@ def test_deriv_1d_matches_fd():
 
 
 def test_chebweight_deriv_consistency():
-    k = ChebWeightKernel.from_rule("(j+1)^2", 12)
+    k = ChebWeightKernel(weight_array("(j+1)^2", 12))
     x0, y0 = -0.3, 0.6
     h = 1e-6
     fd = (k.apply(PointEval(x0 + h), PointEval(y0))
@@ -226,7 +227,7 @@ def test_gram_radial_invariance_and_pd():
                            LaplacianEval((0.7, 0.6)), PointEval((0.5, 0.5))])
     cheb = FunctionalSet([PointEval(-0.5), DerivEval(0.2, 1), CoeffEval(3),
                           PointEval(0.75)])
-    for kern, fset in [(k, mixed), (ChebWeightKernel.from_rule("(j+1)^2", 20), cheb)]:
+    for kern, fset in [(k, mixed), (ChebWeightKernel(weight_array("(j+1)^2", 20)), cheb)]:
         g = gram(kern, fset)
         _assert_psd(g)
         assert np.array_equal(g, g.T)
@@ -261,6 +262,12 @@ def test_kernel_spec_round_trip():
     cw = kernel_from_spec({"family": "chebweight", "weights": "(j+1)^2", "K": 121})
     assert isinstance(cw, ChebWeightKernel)
     assert np.array_equal(cw.weights, (np.arange(122) + 1.0) ** 2)
+    # a weight list is w_0 .. w_K; K may be omitted, and must match if given
+    for spec in ({"weights": [1, 4, 9]}, {"weights": [1, 4, 9], "K": 2}):
+        cw = kernel_from_spec({"family": "chebweight", **spec})
+        assert cw.truncation == 2 and np.array_equal(cw.weights, [1, 4, 9])
+    with pytest.raises(ValueError, match=r"K = 3 needs K \+ 1 = 4"):
+        kernel_from_spec({"family": "chebweight", "weights": [1, 4, 9], "K": 3})
 
 
 def test_matern_validation():
