@@ -462,12 +462,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand.  Exit code 0 on success, 1 when an identity suite
-    fails, 2 on bad input (argparse's code for usage errors)."""
+    fails, 2 on bad input (argparse's code for usage errors): a bad command
+    line, config or spec, or a config file that cannot be read."""
     args = build_parser().parse_args(argv)
     try:
         params = {}
         if args.config is not None:
-            params = json.loads(Path(args.config).read_text())
+            try:
+                text = Path(args.config).read_text()
+            except OSError as exc:
+                raise ValueError(f"cannot read config file {args.config}: "
+                                 f"{exc.strerror or exc}") from exc
+            params = json.loads(text)
         if getattr(args, "suites", None):
             params["suites"] = args.suites
         if getattr(args, "perturb", False):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -40,6 +41,10 @@ class Functional:
 
     @classmethod
     def from_json(cls, d: dict) -> "Functional":
+        missing = [f.name for f in fields(cls) if f.name not in d]
+        if missing:
+            raise ValueError(f"{cls.kind} functional {d} lacks key(s) "
+                             f"{', '.join(map(repr, missing))}")
         return cls(**{f.name: d[f.name] for f in fields(cls)})
 
     def on_coeffs(self, coeffs: np.ndarray) -> float:
@@ -171,9 +176,9 @@ _KINDS = {cls.kind: cls for cls in (PointEval, DerivEval, LaplacianEval, CoeffEv
 
 
 def functional_from_json(d: dict) -> Functional:
-    cls = _KINDS.get(d["kind"])
+    cls = _KINDS.get(d.get("kind"))
     if cls is None:
-        raise ValueError(f"unknown functional kind {d['kind']!r}")
+        raise ValueError(f"unknown functional kind {d.get('kind')!r}")
     return cls.from_json(d)
 
 
@@ -199,6 +204,21 @@ class FunctionalSet:
 
     def __getitem__(self, i):
         return self.functionals[i]
+
+    @cached_property
+    def radial_layout(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Each member's ``order`` and ``site``, as a read-only int vector and
+        (n, dim) array, computed once per set because a radial kernel reads
+        them on every call; None when they do not form such arrays (a member
+        without an order, or members on different R^dim).  Whether a kernel
+        can apply them is the kernel's check, not this one's."""
+        fs = self.functionals
+        if any(f.order is None for f in fs) or len({f.dim for f in fs}) != 1:
+            return None
+        orders = np.array([f.order for f in fs], dtype=int)
+        sites = np.array([f.site for f in fs], dtype=float)
+        orders.flags.writeable = sites.flags.writeable = False
+        return orders, sites
 
     def to_json(self) -> list[dict]:
         return [f.to_json() for f in self.functionals]

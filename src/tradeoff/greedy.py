@@ -69,7 +69,7 @@ def p_greedy(kernel, candidates: FunctionalSet, max_steps: int,
     while remaining:
         if selected:
             k = len(selected)
-            cols[:, k - 1] = kernel.cross(pool, [pool[selected[-1]]])[:, 0]
+            cols[:, k - 1] = kernel.cross(candidates, [pool[selected[-1]]])[:, 0]
             ctx = PowerContext(kernel, FunctionalSet([pool[i] for i in selected]),
                                gram_matrix=mirror_upper(cols[selected, :k]))
             p2, _ = ctx.schur_batch(kmm[remaining], cols[remaining, :k])

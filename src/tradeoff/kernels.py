@@ -2,7 +2,10 @@
 
 Both kernels expose the dual inner product (lambda, mu) = lambda^x mu^y K(x, y):
 scalar application via ``apply``, vectorized set-against-set assembly via
-``cross``.  The Whittle-Matern radial profile is
+``cross``.  The Matern ``cross`` evaluates each distinct kernel argument of
+an order block once and gathers the entries from those values: grids and
+symmetric Grams repeat their distances many times over.  The Whittle-Matern
+radial profile is
 
     phi(r) = 2^(1-nu)/Gamma(nu) * (r/c)^nu * K_nu(r/c),   nu = m - d/2,
 
@@ -78,16 +81,25 @@ def _laplace(terms: dict, d: int) -> dict:
     return out
 
 
+def _order_problem(orders, dim: int, d: int) -> str | None:
+    """Why a radial kernel on R^d cannot apply functionals on R^dim whose total
+    derivative orders are the ints in ``orders``, or None when it can."""
+    if dim != d:
+        return f"acts on R^{dim}, kernel lives on R^{d}"
+    if max(orders, default=0) > 2:
+        return "derivative order > 2 is not supported"
+    if d == 2 and any(n % 2 for n in orders):
+        return "in 2-d a radial kernel applies only the Laplacian"
+    return None
+
+
 def _functional_order(f: Functional, d: int) -> int:
     """Total derivative order of f for a radial kernel on R^d."""
     if f.order is None:
         raise UnsupportedPair(f"{f!r} is not supported by a radial kernel")
-    if f.dim != d:
-        raise UnsupportedPair(f"{f!r} acts on R^{f.dim}, kernel lives on R^{d}")
-    if f.order > 2:
-        raise UnsupportedPair("derivative order > 2 is not supported")
-    if d == 2 and f.order % 2:
-        raise UnsupportedPair("in 2-d a radial kernel applies only the Laplacian")
+    problem = _order_problem((f.order,), f.dim, d)
+    if problem is not None:
+        raise UnsupportedPair(f"{f!r} {problem}")
     return f.order
 
 
@@ -162,24 +174,45 @@ class MaternSobolevKernel:
         u = diff[0] / self.c if self.d == 1 else np.linalg.norm(diff) / self.c
         return float(self._radial(n_a, n_b, np.asarray(u)))
 
+    def _layout(self, fset) -> tuple[np.ndarray, np.ndarray]:
+        """Derivative orders and sites of fset as arrays.  A FunctionalSet
+        computes them once (``radial_layout``) and they are checked against
+        this kernel here, by the rule ``_functional_order`` applies to one
+        functional; any other sequence, or a set that fails the check, goes
+        functional by functional, which names the one at fault."""
+        layout = getattr(fset, "radial_layout", None)
+        if layout is not None:
+            orders, sites = layout
+            if _order_problem(set(orders.tolist()), sites.shape[1], self.d) is None:
+                return layout
+        fs = list(fset)
+        orders = np.array([_functional_order(f, self.d) for f in fs], dtype=int)
+        return orders, np.array([f.site for f in fs], dtype=float)
+
+    def _radial_block(self, n_a: int, n_b: int, pts_a, pts_b) -> np.ndarray:
+        """_radial over every pair of sites, run once per distinct argument
+        (distinct as a bit pattern, so -0.0 and 0.0 stay apart) and gathered;
+        _radial is elementwise, so each entry is bit for bit the one a
+        full-array evaluation gives."""
+        diff = pts_a[:, None, :] - pts_b[None, :, :]
+        if self.d == 1:
+            u = diff[:, :, 0] / self.c
+        else:
+            u = np.sqrt(np.maximum((diff ** 2).sum(-1), 0.0)) / self.c
+        keys, inverse = np.unique(u.view(np.int64), return_inverse=True)
+        return self._radial(n_a, n_b, keys.view(float))[inverse.reshape(u.shape)]
+
     def cross(self, set_a, set_b) -> np.ndarray:
-        """Matrix of apply(a_i, b_j), assembled blockwise by derivative order."""
-        fa, fb = list(set_a), list(set_b)
-        orders_a = [_functional_order(f, self.d) for f in fa]
-        orders_b = [_functional_order(f, self.d) for f in fb]
-        pts_a = np.array([f.site for f in fa], dtype=float)
-        pts_b = np.array([f.site for f in fb], dtype=float)
-        out = np.empty((len(fa), len(fb)))
-        for na in sorted(set(orders_a)):
-            ia = np.flatnonzero(np.array(orders_a) == na)
-            for nb in sorted(set(orders_b)):
-                ib = np.flatnonzero(np.array(orders_b) == nb)
-                diff = pts_a[ia][:, None, :] - pts_b[ib][None, :, :]
-                if self.d == 1:
-                    u = diff[:, :, 0] / self.c
-                else:
-                    u = np.sqrt(np.maximum((diff ** 2).sum(-1), 0.0)) / self.c
-                out[np.ix_(ia, ib)] = self._radial(na, nb, u)
+        """Matrix of apply(a_i, b_j), assembled blockwise by derivative order,
+        each block evaluating each distinct kernel argument once."""
+        orders_a, pts_a = self._layout(set_a)
+        orders_b, pts_b = self._layout(set_b)
+        out = np.empty((len(orders_a), len(orders_b)))
+        for na in sorted(set(orders_a.tolist())):
+            ia = np.flatnonzero(orders_a == na)
+            for nb in sorted(set(orders_b.tolist())):
+                ib = np.flatnonzero(orders_b == nb)
+                out[np.ix_(ia, ib)] = self._radial_block(na, nb, pts_a[ia], pts_b[ib])
         return out
 
     def diag(self, fset) -> np.ndarray:
@@ -225,11 +258,21 @@ def kernel_from_spec(spec: dict):
     {"family": "chebweight", "weights", "K"}, where the weights are a rule
     string, or a list of K + 1 entries w_0 .. w_K (K may then be omitted)."""
     family = spec.get("family")
+
+    def need(*keys):
+        missing = [k for k in keys if k not in spec]
+        if missing:
+            raise ValueError(f"{family} kernel spec lacks key(s) "
+                             f"{', '.join(map(repr, missing))}")
+
     if family == "matern":
+        need("m", "d")
         return MaternSobolevKernel(spec["m"], spec["d"], spec.get("c", 1.0))
     if family == "chebweight":
+        need("weights")
         w = spec["weights"]
         if isinstance(w, str):
+            need("K")
             return ChebWeightKernel(weight_array(w, spec["K"]))
         if "K" in spec and np.size(w) != spec["K"] + 1:
             raise ValueError(f"chebweight weights list has {np.size(w)} entries, "

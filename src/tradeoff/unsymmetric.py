@@ -136,9 +136,10 @@ def build_kansa(setup: PoissonSetup, rtol: float | None = None) -> UnsymmetricRe
 
 def _kansa_p2(kmm, kml, b, gram) -> np.ndarray:
     """K_mumu - 2 b^T K_{Lambda,mu} + b^T K_{Lambda,Lambda} b per row,
-    clamped at 0; b holds the pseudo-Lagrange values mu(a_k)."""
+    clamped at 0; b holds the pseudo-Lagrange values mu(a_k).  The quadratic
+    form is one matrix product (BLAS) and a row-wise dot."""
     p2 = (kmm - 2.0 * np.einsum("ij,ij->i", b, kml)
-          + np.einsum("ij,jk,ik->i", b, gram, b))
+          + np.einsum("ij,ij->i", b @ gram, b))
     return np.maximum(p2, 0.0)
 
 
@@ -168,10 +169,11 @@ def kansa_site_power_squared(rec: UnsymmetricRecovery) -> np.ndarray:
 
 
 def pseudo_lagrangian_norms(rec: UnsymmetricRecovery) -> np.ndarray:
-    """Squared norms ||a_k||^2, the diagonal of C^T K_{T,T} C."""
+    """Squared norms ||a_k||^2, the diagonal of C^T K_{T,T} C: one matrix
+    product (BLAS) and a column-wise dot."""
     c = rec.coefficient_map
     k_tt = kernels.gram(rec.kernel, rec.trial_functionals())
-    return np.einsum("ji,jk,ki->i", c, k_tt, c)
+    return np.einsum("ji,ji->i", c, k_tt @ c)
 
 
 # ---------------------------------------------------------------------------

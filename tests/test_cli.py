@@ -222,6 +222,31 @@ def test_cli_main_audit_rejects_chebweight_list_that_mismatches_K(tmp_path, caps
     assert not (out / "audit_report.csv").exists()
 
 
+_POINT = [{"kind": "point", "x": [0.1]}]
+
+
+@pytest.mark.parametrize("spec,named", [
+    ({"kernel": {"family": "chebweight", "weights": "(j+1)^2"},
+      "data": _POINT, "eval": _POINT}, "'K'"),
+    ({"kernel": {"family": "matern", "m": 5, "d": 1},
+      "data": [{"kind": "point"}], "eval": _POINT}, "'x'"),
+], ids=["chebweight_rule_without_K", "functional_without_x"])
+def test_cli_main_audit_names_a_missing_key(tmp_path, capsys, spec, named):
+    err, out = _rejected(tmp_path, capsys, "audit", spec)
+    assert "lacks key(s) " + named in err
+    assert not (out / "audit_report.csv").exists()
+
+
+def test_cli_main_names_a_missing_config_file(tmp_path, capsys):
+    cfg, out = tmp_path / "no_such.json", tmp_path / "out"
+    assert main(["kansa", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tradeoff: error: ")
+    assert captured.err.count("\n") == 1 and str(cfg) in captured.err
+    assert not out.exists()
+
+
 def test_cli_chebweight_audit(tmp_path):
     spec = {
         "kernel": {"family": "chebweight", "weights": "(j+1)^2", "K": 40},

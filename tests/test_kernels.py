@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma, kv
 
+from tradeoff import kernels
 from tradeoff.errors import UnsupportedPair
 from tradeoff.functionals import (
     CoeffEval,
@@ -19,6 +20,7 @@ from tradeoff.kernels import (
     kernel_from_spec,
 )
 from tradeoff.report import reports_to_csv
+from tradeoff.unsymmetric import PoissonSetup
 from tradeoff.weights import weight_array
 
 
@@ -202,6 +204,128 @@ def test_cross_matches_scalar_apply():
     for i, a in enumerate(fa):
         for j, b in enumerate(fb):
             assert block[i, j] == pytest.approx(k.apply(a, b), rel=1e-14)
+
+
+def _cross_without_dedup(k, fa, fb):
+    """The oracle of the deduplicated cross: _radial on the full argument
+    array of each derivative-order block, one evaluation per entry."""
+    fa, fb = list(fa), list(fb)
+    oa, ob = np.array([f.order for f in fa]), np.array([f.order for f in fb])
+    pa = np.array([f.site for f in fa], dtype=float)
+    pb = np.array([f.site for f in fb], dtype=float)
+    out = np.empty((len(fa), len(fb)))
+    for na in sorted(set(oa.tolist())):
+        ia = np.flatnonzero(oa == na)
+        for nb in sorted(set(ob.tolist())):
+            ib = np.flatnonzero(ob == nb)
+            diff = pa[ia][:, None, :] - pb[ib][None, :, :]
+            if k.d == 1:
+                u = diff[:, :, 0] / k.c
+            else:
+                u = np.sqrt(np.maximum((diff ** 2).sum(-1), 0.0)) / k.c
+            out[np.ix_(ia, ib)] = k._radial(na, nb, u)
+    return out
+
+
+def _assert_bitwise_equal(a, b):
+    """Equal values and equal signs of zero."""
+    assert np.array_equal(a, b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _dedup_cases():
+    rng = np.random.default_rng(11)
+    k2 = MaternSobolevKernel(5, 2, 1.0)
+    setup = PoissonSetup.regular(k2, n_side=5, n_boundary=16)
+    data = setup.functionals()
+    k1 = MaternSobolevKernel(5, 1, 0.05)
+    hermite = FunctionalSet([DerivEval(x, o) for x in rng.uniform(0, 1, 12)
+                             for o in range(3)])
+    scattered = FunctionalSet([PointEval(tuple(p))
+                               for p in rng.uniform(0, 1, size=(40, 2))])
+    # -0.0 == 0.0, so the signed zeros go in lists, not FunctionalSets
+    zeros_a = [PointEval(-0.0), DerivEval(0.0, 1), DerivEval(-0.0, 2), PointEval(0.3)]
+    zeros_b = [PointEval(0.0), DerivEval(-0.0, 1), DerivEval(0.0, 1),
+               DerivEval(0.0, 2), PointEval(-0.0)]
+    return {
+        "kansa_data_gram": (k2, data, data),
+        "kansa_trial_cross": (k2, data, setup.trial_functionals()),
+        "kansa_cross_trial_first": (k2, setup.trial_functionals(), data),
+        "hermite_1d": (k1, hermite, hermite),
+        "scattered_2d": (k2, scattered, scattered),
+        "signed_zeros_1d": (MaternSobolevKernel(5, 1, 1.0), zeros_a, zeros_b),
+    }
+
+
+@pytest.mark.parametrize("case", list(_dedup_cases()))
+def test_cross_equals_full_block_evaluation_bit_for_bit(case):
+    k, fa, fb = _dedup_cases()[case]
+    ref = _cross_without_dedup(k, fa, fb)
+    _assert_bitwise_equal(k.cross(fa, fb), ref)
+    # a FunctionalSet's cached layout and a plain list give the same matrix
+    _assert_bitwise_equal(k.cross(list(fa), list(fb)), ref)
+
+
+def test_symmetric_grid_gram_calls_kv_once_per_distinct_distance(monkeypatch):
+    k = MaternSobolevKernel(5, 2, 1.0)
+    h = np.arange(8) / 7.0
+    fs = FunctionalSet([PointEval((x, y)) for x in h for y in h])
+    sizes = []
+
+    def counting_kv(v, z):
+        sizes.append(np.size(z))
+        return kv(v, z)
+
+    monkeypatch.setattr(kernels, "_kv", counting_kv)
+    g = gram(k, fs)
+    pts = np.array([f.site for f in fs])
+    n_distinct = np.unique(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))).size
+    n = len(fs)
+    # one _kv call per term of the kernel's term stack, each on at most the
+    # distinct distances: far fewer than even the upper triangle's entries
+    assert sizes and max(sizes) <= n_distinct < n * (n + 1) // 2
+    monkeypatch.undo()
+    _assert_bitwise_equal(g, kernels.mirror_upper(_cross_without_dedup(k, fs, fs)))
+
+
+def test_a_sets_layout_is_computed_once(monkeypatch):
+    k = MaternSobolevKernel(5, 1, 1.0)
+    lam = FunctionalSet([PointEval(x) for x in (0.0, 0.4)] + [DerivEval(0.7, 1)])
+    assert lam.radial_layout is lam.radial_layout
+    orders, sites = lam.radial_layout
+    assert orders.tolist() == [0, 0, 1] and sites.tolist() == [[0.0], [0.4], [0.7]]
+    assert not orders.flags.writeable and not sites.flags.writeable
+    seen = []
+    order = kernels._functional_order
+
+    def counting_order(f, d):
+        seen.append(f)
+        return order(f, d)
+
+    monkeypatch.setattr(kernels, "_functional_order", counting_order)
+    mu = PointEval(0.2)
+    for _ in range(3):
+        k.cross([mu], lam)
+    assert seen == [mu] * 3
+
+
+class _OddGridValue(GridValue):
+    order = 1
+
+
+def test_cross_rejects_sets_the_kernel_cannot_apply():
+    k2, k1 = MaternSobolevKernel(5, 2, 1.0), MaternSobolevKernel(5, 1, 1.0)
+    ok2, ok1 = [PointEval((0.5, 0.5))], [PointEval(0.5)]
+    for k, fs, ok, match in [
+            (k2, [PointEval(0.1), PointEval(0.2)], ok2, "acts on R"),
+            (k1, [PointEval(0.1), CoeffEval(2)], ok1, "not supported"),
+            (k1, [PointEval(0.1), DerivEval(0.2, 3)], ok1, "order > 2"),
+            (k2, [PointEval((0.1, 0.1)), _OddGridValue((0.2, 0.2))], ok2, "only the Laplacian")]:
+        for given in (fs, FunctionalSet(fs)):
+            with pytest.raises(UnsupportedPair, match=match):
+                k.cross(given, ok)
+            with pytest.raises(UnsupportedPair, match=match):
+                k.cross(ok, given)
 
 
 def _assert_psd(g):

@@ -153,8 +153,62 @@ def test_kansa_site_power_reuses_the_data_gram():
     kmm, kml = k.diag(lam), k.cross(lam, lam)
     b = k.cross(lam, rec.trial_functionals()) @ rec.coefficient_map
     p2 = (kmm - 2.0 * np.einsum("ij,ij->i", b, kml)
-          + np.einsum("ij,jk,ik->i", b, gram(k, lam), b))
+          + np.einsum("ij,ij->i", b @ gram(k, lam), b))
     assert np.array_equal(kansa_site_power_squared(rec), np.maximum(p2, 0.0))
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u = eps / 2: the relative bound, in
+    any summation order and with or without FMA, on the rounding error of a
+    float64 sum of products carried through n roundings."""
+    u = np.finfo(float).eps / 2.0
+    return n * u / (1.0 - n * u)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("n_side", [4, 11])
+def test_kansa_quadratic_forms_against_long_double(n_side):
+    # the BLAS contractions of the site P^2, the surface P^2 and ||a_k||^2
+    # against a long-double evaluation of the same float64 inputs: each value
+    # must sit within gamma_m times the sum of its terms' magnitudes, where m
+    # counts the roundings on a term's path.  A BLAS route rounds about 2n
+    # times for inner sums of length n, in any blocking and at any thread
+    # count; the naive three-operand einsum, kept as the second route, sums
+    # n^2 products in one loop and is held to its own, larger bound.
+    k = MaternSobolevKernel(5, 2, 1.0)
+    rec = build_kansa(PoissonSetup.regular(k, n_side=n_side, n_boundary=16), rtol=4e-10)
+    g, c = rec.context.gram, rec.coefficient_map
+    h = np.arange(1, 22) / 22.0
+    mus = [LaplacianEval((x, y)) for x in h for y in h]
+    mus += [PointEval(tuple(p)) for p in unit_square_perimeter(np.arange(64) / 16.0)]
+    ld = np.longdouble
+
+    def forms(kmm, kml, b):
+        """(BLAS, einsum, long double, sum of |terms|) P^2 before the clamp."""
+        lin = kmm - 2.0 * np.einsum("ij,ij->i", b, kml)
+        lb = b.astype(ld)
+        ref = (kmm.astype(ld) - 2.0 * (lb * kml.astype(ld)).sum(1)
+               + ((lb @ g.astype(ld)) * lb).sum(1))
+        size = (np.abs(kmm) + 2.0 * (np.abs(b) * np.abs(kml)).sum(1)
+                + ((np.abs(b) @ np.abs(g)) * np.abs(b)).sum(1))
+        return (lin + np.einsum("ij,ij->i", b @ g, b),
+                lin + np.einsum("ij,jk,ik->i", b, g, b), ref, size, len(g))
+
+    site = forms(np.diag(g), g, rec.vandermonde @ c)
+    assert np.array_equal(kansa_site_power_squared(rec), np.maximum(site[0], 0.0))
+    kmm, kml = k.diag(mus), k.cross(mus, rec.functionals)
+    surface = forms(kmm, kml, k.cross(mus, rec.trial_functionals()) @ c)
+    assert np.array_equal(kansa_power_squared_batch(rec, mus)[0],
+                          np.maximum(surface[0], 0.0))
+    k_tt = gram(k, rec.trial_functionals())
+    lc = c.astype(ld)
+    norms = (pseudo_lagrangian_norms(rec), np.einsum("ji,jk,ki->i", c, k_tt, c),
+             ((k_tt.astype(ld) @ lc) * lc).sum(0),
+             ((np.abs(k_tt) @ np.abs(c)) * np.abs(c)).sum(0), len(k_tt))
+    for blas, naive, ref, size, n in (site, surface, norms):
+        assert (np.abs(blas.astype(ld) - ref) <= _gamma(2 * n + 4) * size).all()
+        assert (np.abs(naive.astype(ld) - ref) <= _gamma(n * n + 4) * size).all()
 
 
 def test_kansa_data_gram_assembled_once():
