@@ -21,6 +21,11 @@ EXCLUDED_RTOL = 1e-12
 # floor so roundoff near the excluded case cannot trip the check
 _AGREE_RTOL = 1e-7
 
+# tradeoff_report evaluates its rows' kernel values this many rows at a
+# time: one diag and one cross call per block, while a block's cross
+# (rows x N) stays small beside the Gram
+_REPORT_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class PowerEvaluation:
@@ -58,6 +63,8 @@ class PowerContext:
         else:
             self.gram = gram(kernel, lam_set) if gram_matrix is None else gram_matrix
             self.factor = linalg.factor_spd(self.gram)
+            # max |diag(G)|, the scale of the cross-check's roundoff floor
+            self._gram_scale = np.max(np.abs(np.diag(self.gram)))
 
     @property
     def jitter(self) -> float:
@@ -95,21 +102,31 @@ class PowerContext:
         """
         return c0 * c0 * kmm + 2.0 * c0 * float(c @ kml) + float(c @ self.gram @ c)
 
-    def power_squared(self, mu: Functional, cross_check: bool = True) -> PowerEvaluation:
+    def power_squared(self, mu: Functional, cross_check: bool = True,
+                      kernel_row: tuple | None = None) -> PowerEvaluation:
         """Squared power via the Schur complement, cross-checked against the
-        bordered quadratic form with coefficients (1, -mu(u_1), ..., -mu(u_N))."""
-        kmm = float(self.kernel.diag([mu])[0])
+        bordered quadratic form with coefficients (1, -mu(u_1), ..., -mu(u_N)).
+
+        kernel_row is (K(mu, mu), K(mu, Lambda)) when the caller already
+        holds them (they must equal kernel.diag([mu])[0] and
+        kernel.cross([mu], lam_set)[0]; the second is ignored without data);
+        by default they are evaluated here.
+        """
+        if kernel_row is None:
+            kmm = self.kernel.diag([mu])[0]
+            kml = None if self.factor is None else self.kernel.cross([mu], self.lam_set)[0]
+        else:
+            kmm, kml = kernel_row
+        kmm = float(kmm)
         if self.factor is None:
             return PowerEvaluation(mu, max(kmm, 0.0), np.zeros(0), kmm, np.zeros(0))
-        kml = self.kernel.cross([mu], self.lam_set)[0]
         w = self.factor.solve(kml)
         schur = kmm - float(kml @ w)
         if cross_check:
             bordered = self._bordered_form(1.0, -w, kmm, kml)
             # the routes differ by w^T (G w - k); allow the backward-error
             # level of that residual besides the relative tolerance
-            floor = 1e-13 * len(w) * (abs(kmm)
-                                      + float(w @ w) * np.max(np.abs(np.diag(self.gram))))
+            floor = 1e-13 * len(w) * (abs(kmm) + float(w @ w) * self._gram_scale)
             tol = _AGREE_RTOL * max(abs(schur), abs(bordered)) + floor
             if abs(bordered - schur) > tol:
                 raise ArithmeticError(
@@ -151,18 +168,27 @@ def lagrangian_norm_squared(kernel, lam_set: FunctionalSet | None, mu: Functiona
 
 def tradeoff_report(kernel, lam_set: FunctionalSet | None, eval_set) -> list[TradeoffReport]:
     """One report per evaluation functional: power, Lagrangian norm, product.
-    Excluded (reproduced) functionals are flagged, not fatal."""
+    Excluded (reproduced) functionals are flagged, not fatal.
+
+    The rows' kernel values come in blocks of _REPORT_BLOCK rows, one diag
+    and one cross call per block, which spreads the kernel's per-call cost
+    (layout, Vandermonde) over the block and keeps a block's cross small.
+    Each row then gets its own Schur solve and bordered-form cross-check, as
+    power_squared does alone: a multi-right-hand-side solve rounds
+    differently from the per-row one, so it would move the powers' bits.
+    """
     ctx = PowerContext(kernel, lam_set)
+    mus = list(eval_set)
     out = []
-    for mu in eval_set:
-        ev = ctx.power_squared(mu)
-        if ev.excluded:
+    for start in range(0, len(mus), _REPORT_BLOCK):
+        block = mus[start:start + _REPORT_BLOCK]
+        kmm = kernel.diag(block)
+        kml = (np.empty((len(block), 0)) if ctx.factor is None
+               else kernel.cross(block, lam_set))
+        for mu, row in zip(block, zip(kmm, kml)):
+            ev = ctx.power_squared(mu, kernel_row=row)
+            norm = math.nan if ev.excluded else math.sqrt(ctx.lagrangian_norm_squared(ev))
             out.append(TradeoffReport(
-                mu=mu, power=math.sqrt(ev.power_squared), stability_norm=math.nan,
-                flag=FLAG_EXCLUDED))
-            continue
-        out.append(TradeoffReport(
-            mu=mu, power=math.sqrt(ev.power_squared),
-            stability_norm=math.sqrt(ctx.lagrangian_norm_squared(ev)),
-            flag=FLAG_OK))
+                mu=mu, power=math.sqrt(ev.power_squared), stability_norm=norm,
+                flag=FLAG_EXCLUDED if ev.excluded else FLAG_OK))
     return out

@@ -38,14 +38,17 @@ class SpdFactor:
 
     def solve(self, b) -> np.ndarray:
         """Solve A x = b; one iterative-refinement pass against the
-        unjittered A cuts the residual on ill-conditioned Grams."""
+        unjittered A cuts the residual on ill-conditioned Grams.  The factor
+        was checked finite when it was built, so only b is checked here."""
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
             raise DimensionMismatch(
                 f"rhs has {b.shape[0]} rows, matrix is {self.n}x{self.n}")
-        x = scipy.linalg.cho_solve(self.cho, b)
+        if not np.isfinite(b).all():
+            raise DimensionMismatch("rhs entries must be finite")
+        x = scipy.linalg.cho_solve(self.cho, b, check_finite=False)
         r = b - self.a @ x
-        return x + scipy.linalg.cho_solve(self.cho, r)
+        return x + scipy.linalg.cho_solve(self.cho, r, check_finite=False)
 
     def inverse_diagonal(self) -> np.ndarray:
         return np.diag(scipy.linalg.cho_solve(self.cho, np.eye(self.n)))

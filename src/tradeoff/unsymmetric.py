@@ -38,6 +38,14 @@ def _on_boundary(p) -> bool:
     return min(abs(x), abs(1 - x), abs(y), abs(1 - y)) <= tol
 
 
+def _trial_set(trial: np.ndarray) -> FunctionalSet | tuple:
+    """Point evaluations at the trial points as one FunctionalSet, so every
+    kernel call on the trial side reuses its radial layout; () when there are
+    no trial points, a FunctionalSet being nonempty."""
+    fs = [PointEval(tuple(p)) for p in trial]
+    return FunctionalSet(fs) if fs else ()
+
+
 @dataclass(frozen=True)
 class PoissonSetup:
     """Dirichlet Poisson discretization on the unit square: Laplacian data
@@ -60,6 +68,8 @@ class PoissonSetup:
         for p in self.boundary:
             if not _on_boundary(p):
                 raise ValueError(f"boundary point {p} is not on the unit-square edge")
+        if len(np.unique(self.trial, axis=0)) != len(self.trial):
+            raise ValueError("trial points must be pairwise distinct")
 
     @classmethod
     def regular(cls, kernel, n_side: int = 11, n_boundary: int = 16,
@@ -80,8 +90,9 @@ class PoissonSetup:
         fs += [PointEval(tuple(p)) for p in self.boundary]
         return FunctionalSet(fs)
 
-    def trial_functionals(self) -> list[PointEval]:
-        return [PointEval(tuple(p)) for p in self.trial]
+    @cached_property
+    def trial_functionals(self) -> FunctionalSet | tuple:
+        return _trial_set(self.trial)
 
 
 @dataclass(frozen=True)
@@ -104,8 +115,9 @@ class UnsymmetricRecovery:
     def n(self) -> int:
         return len(self.trial)
 
-    def trial_functionals(self) -> list[PointEval]:
-        return [PointEval(tuple(p)) for p in self.trial]
+    @cached_property
+    def trial_functionals(self) -> FunctionalSet | tuple:
+        return _trial_set(self.trial)
 
     @cached_property
     def context(self) -> PowerContext:
@@ -121,7 +133,7 @@ def build_kansa(setup: PoissonSetup, rtol: float | None = None) -> UnsymmetricRe
     rtol * s_max; rtol must lie in (0, 1) and defaults to
     1e-12 * max(M, N)."""
     lam_set = setup.functionals()
-    trial = setup.trial_functionals()
+    trial = setup.trial_functionals
     a = setup.kernel.cross(lam_set, trial)  # M x N
     if rtol is None:
         rtol = 1e-12 * max(a.shape)
@@ -155,7 +167,7 @@ def kansa_power_squared_batch(rec: UnsymmetricRecovery, mus) -> tuple[np.ndarray
     mus = list(mus)
     kmm = rec.kernel.diag(mus)
     kml = rec.kernel.cross(mus, rec.functionals)
-    b = rec.kernel.cross(mus, rec.trial_functionals()) @ rec.coefficient_map
+    b = rec.kernel.cross(mus, rec.trial_functionals) @ rec.coefficient_map
     p2_sym, _ = rec.context.schur_batch(kmm, kml)
     return _kansa_p2(kmm, kml, b, rec.context.gram), p2_sym
 
@@ -172,7 +184,7 @@ def pseudo_lagrangian_norms(rec: UnsymmetricRecovery) -> np.ndarray:
     """Squared norms ||a_k||^2, the diagonal of C^T K_{T,T} C: one matrix
     product (BLAS) and a column-wise dot."""
     c = rec.coefficient_map
-    k_tt = kernels.gram(rec.kernel, rec.trial_functionals())
+    k_tt = kernels.gram(rec.kernel, rec.trial_functionals)
     return np.einsum("ji,ji->i", c, k_tt @ c)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tradeoff.errors import ExcludedCase
-from tradeoff.functionals import FunctionalSet, LaplacianEval, PointEval
+from tradeoff.functionals import DerivEval, FunctionalSet, LaplacianEval, PointEval
 from tradeoff.kernel_recovery import (
     PowerContext,
     lagrangian_norm_squared,
@@ -13,7 +13,8 @@ from tradeoff.kernel_recovery import (
     tradeoff_report,
 )
 from tradeoff.kernels import MaternSobolevKernel
-from tradeoff import linalg
+from tradeoff.report import FLAG_EXCLUDED, FLAG_OK, TradeoffReport
+from tradeoff import kernel_recovery, linalg
 
 
 def _point_set(rng, n, d, lo=-1.0, hi=1.0):
@@ -91,7 +92,8 @@ def test_tradeoff_report_flags_and_products():
 
 
 class _CountingMatern(MaternSobolevKernel):
-    """Matern kernel that counts its diag and cross calls."""
+    """Matern kernel that counts its diag and cross calls and the rows and
+    entries they evaluate."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -99,31 +101,103 @@ class _CountingMatern(MaternSobolevKernel):
 
     def diag(self, fset):
         self.calls["diag"] += 1
+        self.calls["diag_entries"] += len(fset)
         return super().diag(fset)
 
     def cross(self, set_a, set_b):
         self.calls["cross"] += 1
+        self.calls["cross_entries"] += len(set_a) * len(set_b)
         return super().cross(set_a, set_b)
 
 
 def test_tradeoff_report_evaluates_each_row_once(monkeypatch):
+    # each row's kernel values are computed exactly once, in blocks of
+    # _REPORT_BLOCK rows, and each row gets one solve of its own
     k = _CountingMatern(4, 2, 0.7)
     rng = np.random.default_rng(12)
     lam, _ = _point_set(rng, 6, 2)
-    evals = [PointEval((1.4, 1.4)), PointEval((-1.3, 0.2)), PointEval((0.1, -1.6))]
+    n_rows = 2 * kernel_recovery._REPORT_BLOCK + 3
+    evals = [PointEval(tuple(p)) for p in rng.uniform(1.3, 1.9, size=(n_rows, 2))]
     solves = Counter()
     solve = linalg.SpdFactor.solve
 
     def counted_solve(self, b):
         solves["solve"] += 1
+        solves["rhs_cols"] += 1 if np.ndim(b) == 1 else np.shape(b)[1]
         return solve(self, b)
 
     monkeypatch.setattr(linalg.SpdFactor, "solve", counted_solve)
     reports = tradeoff_report(k, lam, evals)
-    assert [r.flag for r in reports] == ["ok"] * len(evals)
-    # one diag, one cross row and one solve per row, plus the one Gram
-    assert k.calls == {"diag": len(evals), "cross": len(evals) + 1}
-    assert solves["solve"] == len(evals)
+    assert [r.flag for r in reports] == ["ok"] * n_rows
+    # one diag and one cross per block, plus the one Gram
+    n_blocks = 3
+    assert k.calls == {"diag": n_blocks, "diag_entries": n_rows,
+                       "cross": n_blocks + 1,
+                       "cross_entries": len(lam) ** 2 + n_rows * len(lam)}
+    assert solves == {"solve": n_rows, "rhs_cols": n_rows}
+
+
+def _report_bits(reports):
+    """(power, stability_norm) bit patterns and flags of a report list."""
+    vals = np.array([(r.power, r.stability_norm) for r in reports], dtype=float)
+    return vals.view(np.int64).tolist(), [r.flag for r in reports]
+
+
+def _row_by_row_report(kernel, lam_set, mus):
+    """The report as plain per-row power_squared and lagrangian_norm_squared
+    calls, each row evaluating its own kernel values."""
+    ctx = PowerContext(kernel, lam_set)
+    out = []
+    for mu in mus:
+        ev = ctx.power_squared(mu)
+        norm = math.nan if ev.excluded else math.sqrt(ctx.lagrangian_norm_squared(ev))
+        out.append(TradeoffReport(mu, math.sqrt(ev.power_squared), norm,
+                                  FLAG_EXCLUDED if ev.excluded else FLAG_OK))
+    return out
+
+
+def _near_site_matern():
+    # 2-d Matern rows within 1e-3 of a site, some exactly on one (excluded)
+    rng = np.random.default_rng(5)
+    lam, pts = _point_set(rng, 80, 2, lo=0.0, hi=1.0)
+    rows = rng.uniform(0.0, 1.0, size=(310, 2))
+    near = rng.choice(len(rows), 60, replace=False)
+    angle = rng.uniform(0.0, 2.0 * np.pi, len(near))
+    radius = rng.uniform(0.0, 1e-3, len(near))
+    rows[near] = (pts[rng.choice(len(pts), len(near), replace=False)]
+                  + radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)]))
+    rows[near[:5]] = pts[:5]
+    return MaternSobolevKernel(5, 2, 0.3), lam, [PointEval(tuple(p)) for p in rows]
+
+
+def _hermite_1d():
+    # 1-d value and slope data, evaluated at derivative orders 0..2
+    rng = np.random.default_rng(6)
+    xs = np.linspace(0.0, 1.0, 15) + rng.uniform(-0.01, 0.01, 15)
+    lam = FunctionalSet([f(x) for x in xs
+                         for f in (PointEval, lambda x: DerivEval(x, 1))])
+    mus = [DerivEval(x, i % 3) for i, x in enumerate(rng.uniform(0.0, 1.0, 320))]
+    mus[:3] = [PointEval(xs[0]), DerivEval(xs[1], 1), DerivEval(xs[2], 2)]
+    return MaternSobolevKernel(5, 1, 0.1), lam, mus
+
+
+def _no_data():
+    rng = np.random.default_rng(7)
+    mus = [PointEval(tuple(p)) for p in rng.uniform(-1.0, 1.0, size=(300, 2))]
+    return MaternSobolevKernel(4, 2, 0.7), None, mus
+
+
+@pytest.mark.parametrize("problem", [_near_site_matern, _hermite_1d, _no_data])
+def test_blocked_report_equals_the_row_by_row_report_bit_for_bit(problem):
+    kernel, lam, mus = problem()
+    assert len(mus) > 2 * kernel_recovery._REPORT_BLOCK
+    reports = tradeoff_report(kernel, lam, mus)
+    assert [r.mu for r in reports] == mus
+    assert _report_bits(reports) == _report_bits(_row_by_row_report(kernel, lam, mus))
+    if lam is not None:
+        # the cases the blocks must carry: excluded rows beside ok ones
+        flags = Counter(r.flag for r in reports)
+        assert flags[FLAG_EXCLUDED] >= 3 and flags[FLAG_OK] > len(mus) // 2
 
 
 def test_leave_one_out_equality():

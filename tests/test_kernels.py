@@ -11,8 +11,9 @@ from tradeoff.functionals import (
     FunctionalSet,
     LaplacianEval,
     PointEval,
+    vandermonde,
 )
-from tradeoff.kernel_recovery import tradeoff_report
+from tradeoff.kernel_recovery import _REPORT_BLOCK, tradeoff_report
 from tradeoff.kernels import (
     ChebWeightKernel,
     MaternSobolevKernel,
@@ -249,8 +250,8 @@ def _dedup_cases():
                DerivEval(0.0, 2), PointEval(-0.0)]
     return {
         "kansa_data_gram": (k2, data, data),
-        "kansa_trial_cross": (k2, data, setup.trial_functionals()),
-        "kansa_cross_trial_first": (k2, setup.trial_functionals(), data),
+        "kansa_trial_cross": (k2, data, setup.trial_functionals),
+        "kansa_cross_trial_first": (k2, setup.trial_functionals, data),
         "hermite_1d": (k1, hermite, hermite),
         "scattered_2d": (k2, scattered, scattered),
         "signed_zeros_1d": (MaternSobolevKernel(5, 1, 1.0), zeros_a, zeros_b),
@@ -330,6 +331,43 @@ def test_cross_rejects_sets_the_kernel_cannot_apply():
 
 def _assert_psd(g):
     assert np.linalg.eigvalsh(g)[0] >= -1e-10 * max(np.trace(g), 1e-300)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 here")
+def test_chebweight_cross_and_diag_against_long_double():
+    # ChebWeightKernel.cross is a matrix product, whose rounding depends on
+    # the block's shape, so a report row's kernel values in a block of rows
+    # need not equal the row's own call bit for bit.  Each entry, in the
+    # report's blocks and alone, must sit within Higham's gamma_n =
+    # n u / (1 - n u), n = K + 2, u = eps / 2, times the sum of its terms'
+    # magnitudes of a long-double sum over the same float64 Vandermonde
+    # rows: one rounding for v / w, one per product, K for the sum, in any
+    # order, with or without FMA.
+    k = ChebWeightKernel(weight_array("(j+1)^2", 121))
+    rng = np.random.default_rng(9)
+    data = FunctionalSet([PointEval(x) for x in np.cos(np.arange(11) * np.pi / 10)])
+    rows = [PointEval(x) for x in rng.uniform(-1.0, 1.0, 290)]
+    rows += [DerivEval(x, o) for x in rng.uniform(-1.0, 1.0, 5) for o in (1, 2)]
+    rows += [CoeffEval(j) for j in (0, 7, 121)]
+    n, u = k.truncation + 2, np.finfo(float).eps / 2.0
+    ld = np.longdouble
+    w = k.weights.astype(ld)
+
+    def check(value, terms):
+        err = np.abs(value.astype(ld) - terms.sum(-1))
+        assert (err <= n * u / (1.0 - n * u) * np.abs(terms).sum(-1)).all()
+
+    def cross_terms(va, vb):
+        return va.astype(ld)[:, None, :] * (vb.astype(ld) / w)[None, :, :]
+
+    v_rows, v_data = vandermonde(rows, k.truncation), vandermonde(data, k.truncation)
+    check(k.cross(data, data), cross_terms(v_data, v_data))
+    blocks = [slice(i, i + _REPORT_BLOCK) for i in range(0, len(rows), _REPORT_BLOCK)]
+    blocks += [slice(i, i + 1) for i in range(0, len(rows), 37)]
+    for block in blocks:
+        check(k.cross(rows[block], data), cross_terms(v_rows[block], v_data))
+    check(k.diag(rows), v_rows.astype(ld) * (v_rows.astype(ld) / w))
 
 
 def test_gram_radial_invariance_and_pd():

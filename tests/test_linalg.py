@@ -91,3 +91,12 @@ def test_svd_reconstruction():
     assert np.all(np.diff(dec.s) <= 0) and np.all(dec.s >= 0)
     assert np.linalg.norm((dec.u * dec.s) @ dec.vt - a) <= 1e-10 * np.linalg.norm(a)
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(3,), (3, 2)])
+def test_solve_rejects_a_nonfinite_rhs(bad, shape):
+    # the factor was checked when it was built; solve checks b itself
+    b = np.ones(shape)
+    b[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        factor_spd(np.eye(3) * 2.0).solve(b)

@@ -40,6 +40,11 @@ def test_regular_setup_counts_and_validation():
     with pytest.raises(ValueError):
         PoissonSetup(kernel=k, interior=np.array([[0.5, 0.5]]),
                      boundary=np.array([[0.3, 0.3]]), trial=np.array([[0.5, 0.5]]))
+    # the trial functionals form one FunctionalSet, so a repeated trial
+    # point is rejected when the setup is built
+    with pytest.raises(ValueError, match="trial points must be pairwise distinct"):
+        PoissonSetup(kernel=k, interior=np.array([[0.5, 0.5]]), boundary=np.array([[0.0, 0.0]]),
+                     trial=np.array([[0.5, 0.5], [0.2, 0.3], [0.5, 0.5]]))
 
 
 def _point_interpolation_setup(kernel, pts):
@@ -151,7 +156,7 @@ def test_kansa_site_power_reuses_the_data_gram():
     rec = build_kansa(PoissonSetup.regular(k, n_side=4, n_boundary=8))
     lam = rec.functionals
     kmm, kml = k.diag(lam), k.cross(lam, lam)
-    b = k.cross(lam, rec.trial_functionals()) @ rec.coefficient_map
+    b = k.cross(lam, rec.trial_functionals) @ rec.coefficient_map
     p2 = (kmm - 2.0 * np.einsum("ij,ij->i", b, kml)
           + np.einsum("ij,ij->i", b @ gram(k, lam), b))
     assert np.array_equal(kansa_site_power_squared(rec), np.maximum(p2, 0.0))
@@ -198,10 +203,10 @@ def test_kansa_quadratic_forms_against_long_double(n_side):
     site = forms(np.diag(g), g, rec.vandermonde @ c)
     assert np.array_equal(kansa_site_power_squared(rec), np.maximum(site[0], 0.0))
     kmm, kml = k.diag(mus), k.cross(mus, rec.functionals)
-    surface = forms(kmm, kml, k.cross(mus, rec.trial_functionals()) @ c)
+    surface = forms(kmm, kml, k.cross(mus, rec.trial_functionals) @ c)
     assert np.array_equal(kansa_power_squared_batch(rec, mus)[0],
                           np.maximum(surface[0], 0.0))
-    k_tt = gram(k, rec.trial_functionals())
+    k_tt = gram(k, rec.trial_functionals)
     lc = c.astype(ld)
     norms = (pseudo_lagrangian_norms(rec), np.einsum("ji,jk,ki->i", c, k_tt, c),
              ((k_tt.astype(ld) @ lc) * lc).sum(0),
