@@ -60,8 +60,11 @@ def _json_dumps(obj) -> str:
 
 
 def _at_least(config: ExperimentConfig, key: str, default: int, low: int) -> int:
-    """config[key] (default if absent), rejected unless it is >= low."""
+    """config[key] (default if absent), rejected unless it is an integer
+    >= low; a bool, float or string is rejected by name."""
     value = config.get(key, default)
+    if type(value) is not int:  # bool is an int subclass
+        raise ValueError(f"{key} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{key} must be >= {low}, got {value}")
     return value
@@ -149,7 +152,7 @@ def _kansa_csv(points, p2u, p2s, recip=None) -> str:
 def run_kansa(config: ExperimentConfig) -> dict:
     """Squared power functions of pseudoinverse-based unsymmetric collocation
     against symmetric collocation, plus pseudo-Lagrangian stability norms."""
-    n_side = config.get("n_side", 11)
+    n_side = _at_least(config, "n_side", 11, 1)
     n_boundary = config.get("n_boundary", 16)
     include_corners = config.get("include_corners", True)
     m = config.get("m", 5)
@@ -383,8 +386,8 @@ def run_identities(config: ExperimentConfig) -> tuple[str, bool]:
 # greedy
 
 def run_greedy(config: ExperimentConfig) -> dict:
-    side = config.get("grid_side", 10)
-    steps = config.get("max_steps", 25)
+    side = _at_least(config, "grid_side", 10, 1)
+    steps = _at_least(config, "max_steps", 25, 1)
     tolerance = config.get("tolerance", 0.0)
     m = config.get("m", 5)
     d = config.get("d", 2)
@@ -474,6 +477,9 @@ def main(argv=None) -> int:
                 raise ValueError(f"cannot read config file {args.config}: "
                                  f"{exc.strerror or exc}") from exc
             params = json.loads(text)
+            if not isinstance(params, dict):
+                raise ValueError(f"config file {args.config} must hold a JSON "
+                                 f"object, not {type(params).__name__}")
         if getattr(args, "suites", None):
             params["suites"] = args.suites
         if getattr(args, "perturb", False):

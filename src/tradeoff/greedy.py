@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .functionals import Functional, FunctionalSet
-from .kernel_recovery import PowerContext
+from .kernel_recovery import PowerContext, schur_batch
 from .kernels import mirror_upper
 
 STOP_TOLERANCE = "tolerance"
@@ -46,7 +47,7 @@ def p_greedy(kernel, candidates: FunctionalSet, max_steps: int,
     candidates against the new functional.  Step k takes the Gram of the
     selected set and the rows of the remaining candidates from those
     columns, then factors the Gram and solves for the Schur-complement
-    powers as a fresh PowerContext would.  For the radial Matern kernel
+    powers with kernel_recovery.schur_batch.  For the radial Matern kernel
     (every CLI path) each cached entry equals the entry that cross()
     computes in any batch, so the selections and powers match the
     from-scratch recomputation bit for bit.  A kernel whose cross() rounds
@@ -70,9 +71,8 @@ def p_greedy(kernel, candidates: FunctionalSet, max_steps: int,
         if selected:
             k = len(selected)
             cols[:, k - 1] = kernel.cross(candidates, [pool[selected[-1]]])[:, 0]
-            ctx = PowerContext(kernel, FunctionalSet([pool[i] for i in selected]),
-                               gram_matrix=mirror_upper(cols[selected, :k]))
-            p2, _ = ctx.schur_batch(kmm[remaining], cols[remaining, :k])
+            factor = linalg.factor_spd(mirror_upper(cols[selected, :k]))
+            p2, _ = schur_batch(factor, kmm[remaining], cols[remaining, :k])
         best = int(np.argmax(p2))  # argmax returns the first (lowest-id) maximizer
         max_power = math.sqrt(float(p2[best]))
         selected.append(remaining.pop(best))

@@ -45,23 +45,28 @@ class PowerEvaluation:
         return self.power_squared <= EXCLUDED_RTOL * self.k_mu_mu
 
 
+def schur_batch(factor: linalg.SpdFactor, kmm: np.ndarray,
+                kml: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Schur-complement powers (clamped at 0) and Lagrange values of a batch
+    from the factored data Gram, kmm = K(mu, mu) and kml = K(mu, Lambda);
+    the one symmetric solve behind every batched power."""
+    w = factor.solve(kml.T)
+    p2 = kmm - np.einsum("ij,ji->i", kml, w)
+    return np.maximum(p2, 0.0), w.T
+
+
 class PowerContext:
     """Factorization of the dual Gram of a functional set, reused across
-    many evaluation functionals.
+    many evaluation functionals."""
 
-    gram_matrix is the Gram of lam_set when the caller already holds it
-    (it must equal gram(kernel, lam_set)); by default it is assembled here.
-    """
-
-    def __init__(self, kernel, lam_set: FunctionalSet | None,
-                 gram_matrix: np.ndarray | None = None):
+    def __init__(self, kernel, lam_set: FunctionalSet | None):
         self.kernel = kernel
         self.lam_set = lam_set
         if lam_set is None or len(lam_set) == 0:
             self.gram = np.zeros((0, 0))
             self.factor = None
         else:
-            self.gram = gram(kernel, lam_set) if gram_matrix is None else gram_matrix
+            self.gram = gram(kernel, lam_set)
             self.factor = linalg.factor_spd(self.gram)
             # max |diag(G)|, the scale of the cross-check's roundoff floor
             self._gram_scale = np.max(np.abs(np.diag(self.gram)))
@@ -80,16 +85,8 @@ class PowerContext:
         kmm = self.kernel.diag(mus)
         if self.factor is None:
             return np.maximum(kmm, 0.0), np.zeros((len(mus), 0)), kmm
-        p2, lagrange = self.schur_batch(kmm, self.kernel.cross(mus, self.lam_set))
+        p2, lagrange = schur_batch(self.factor, kmm, self.kernel.cross(mus, self.lam_set))
         return p2, lagrange, kmm
-
-    def schur_batch(self, kmm: np.ndarray, kml: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Schur-complement powers (clamped at 0) and Lagrange values from
-        the diagonal kmm = K(mu, mu) and the kernel rows kml = K(mu, Lambda)
-        of a batch; the one symmetric solve behind every batched power."""
-        w = self.factor.solve(kml.T)
-        p2 = kmm - np.einsum("ij,ji->i", kml, w)
-        return np.maximum(p2, 0.0), w.T
 
     def _bordered_form(self, c0: float, c: np.ndarray, kmm: float,
                        kml: np.ndarray) -> float:

@@ -1,11 +1,11 @@
 """Positive-definite kernels with functional application on each argument.
 
 Both kernels expose the dual inner product (lambda, mu) = lambda^x mu^y K(x, y):
-scalar application via ``apply``, vectorized set-against-set assembly via
-``cross``.  The Matern ``cross`` evaluates each distinct kernel argument of
-an order block once and gathers the entries from those values: grids and
-symmetric Grams repeat their distances many times over.  The Whittle-Matern
-radial profile is
+vectorized set-against-set assembly via ``cross``, and scalar application
+via ``apply``, the 1 x 1 case of ``cross`` and bit for bit its entry.  The
+Matern ``cross`` evaluates each distinct kernel argument of an order block
+once and gathers the entries: grids and symmetric Grams repeat their
+distances many times over.  The Whittle-Matern radial profile is
 
     phi(r) = 2^(1-nu)/Gamma(nu) * (r/c)^nu * K_nu(r/c),   nu = m - d/2,
 
@@ -117,12 +117,14 @@ class MaternSobolevKernel:
             raise ValueError(f"dimension must be 1 or 2, got {d}")
         if m < 3:
             raise ValueError(f"Sobolev order must be >= 3, got {m}")
+        if not float(m).is_integer():
+            raise ValueError(f"Sobolev order must be a whole number, got {m}")
         if c <= 0:
             raise ValueError(f"scale must be positive, got {c}")
         self.m = int(m)
         self.d = int(d)
         self.c = float(c)
-        self.nu = m - d / 2.0
+        self.nu = self.m - self.d / 2.0
         self._norm = 2.0 ** (1.0 - self.nu) / _gamma(self.nu)
 
     def __repr__(self) -> str:
@@ -168,11 +170,9 @@ class MaternSobolevKernel:
         return sign * self._norm * acc / self.c ** n
 
     def apply(self, lam: Functional, mu: Functional) -> float:
-        n_a = _functional_order(lam, self.d)
-        n_b = _functional_order(mu, self.d)
-        diff = np.asarray(lam.site, dtype=float) - np.asarray(mu.site, dtype=float)
-        u = diff[0] / self.c if self.d == 1 else np.linalg.norm(diff) / self.c
-        return float(self._radial(n_a, n_b, np.asarray(u)))
+        (n_a, n_b), sites = self._layout([lam, mu])
+        # Python ints: c ** n rounds differently for a NumPy integer n
+        return float(self._radial_block(int(n_a), int(n_b), sites[:1], sites[1:])[0, 0])
 
     def _layout(self, fset) -> tuple[np.ndarray, np.ndarray]:
         """Derivative orders and sites of fset as arrays.  A FunctionalSet
@@ -216,7 +216,14 @@ class MaternSobolevKernel:
         return out
 
     def diag(self, fset) -> np.ndarray:
-        return np.array([self.apply(f, f) for f in fset])
+        """apply(f, f) for each f in fset, evaluated once per distinct
+        derivative order: the kernel argument is 0 for every member."""
+        orders = self._layout(fset)[0].tolist()
+        value: dict = {}
+        for f, n in zip(fset, orders):
+            if n not in value:
+                value[n] = self.apply(f, f)
+        return np.array([value[n] for n in orders])
 
 
 class ChebWeightKernel:

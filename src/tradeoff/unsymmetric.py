@@ -12,7 +12,7 @@ import numpy as np
 from . import kernels, linalg
 from .errors import NoBumpExists
 from .functionals import FunctionalSet, LaplacianEval, PointEval
-from .kernel_recovery import PowerContext
+from .kernel_recovery import PowerContext, schur_batch
 
 # sigma_k counts as zero below this fraction of sigma_max
 RANK_RTOL = 1e-12
@@ -168,7 +168,7 @@ def kansa_power_squared_batch(rec: UnsymmetricRecovery, mus) -> tuple[np.ndarray
     kmm = rec.kernel.diag(mus)
     kml = rec.kernel.cross(mus, rec.functionals)
     b = rec.kernel.cross(mus, rec.trial_functionals) @ rec.coefficient_map
-    p2_sym, _ = rec.context.schur_batch(kmm, kml)
+    p2_sym, _ = schur_batch(rec.context.factor, kmm, kml)
     return _kansa_p2(kmm, kml, b, rec.context.gram), p2_sym
 
 

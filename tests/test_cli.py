@@ -163,7 +163,7 @@ def test_cli_main_identities_exit_codes(tmp_path):
     assert rc == 1
 
 
-def _rejected(tmp_path, capsys, command: str, params: dict) -> tuple[str, Path]:
+def _rejected(tmp_path, capsys, command: str, params) -> tuple[str, Path]:
     """Run main on a bad config and require exit code 2, nothing on stdout
     and one "tradeoff: error: " line on stderr; returns that line and the
     output directory."""
@@ -205,10 +205,38 @@ def test_cli_main_fig1_rejects_unparseable_weights(tmp_path, capsys, weights):
     ("kansa", {"n_side": 3, "eval_interior_side": 0, "eval_boundary": 8},
      "eval_interior_side"),
     ("fig1", {"n_points": 1}, "n_points"),
-], ids=["eval_boundary", "eval_interior_side", "n_points"])
+    ("kansa", {"n_side": 0}, "n_side"),
+    ("greedy", {"grid_side": 0}, "grid_side"),
+], ids=["eval_boundary", "eval_interior_side", "n_points", "n_side", "grid_side"])
 def test_cli_main_rejects_empty_grids(tmp_path, capsys, command, params, key):
     err, out = _rejected(tmp_path, capsys, command, params)
     assert f"{key} must be >= " in err
+    assert not out.exists()
+
+
+_MATERN_5_5 = {"kernel": {"family": "matern", "m": 5.5, "d": 2},
+               "data": [{"kind": "point", "x": [0.1, 0.2]}],
+               "eval": [{"kind": "point", "x": [0.3, 0.4]}]}
+
+
+@pytest.mark.parametrize("command,params,named", [
+    ("kansa", [1, 2], "kansa.json"),
+    ("fig1", "abc", "fig1.json"),
+    ("kansa", {"n_side": 3.5}, "n_side"),
+    ("kansa", {"eval_interior_side": 3.0}, "eval_interior_side"),
+    ("fig1", {"n_points": "11"}, "n_points"),
+    ("fig1", {"n_points": 3.0}, "n_points"),
+    ("greedy", {"max_steps": 2.5}, "max_steps"),
+    ("greedy", {"max_steps": 0}, "max_steps"),
+    ("greedy", {"grid_side": True}, "grid_side"),
+    ("greedy", {"grid_side": 3, "max_steps": 2, "m": 5.5}, "whole number"),
+    ("audit", _MATERN_5_5, "whole number"),
+], ids=["list", "string", "n_side_fraction", "eval_side_float", "n_points_string",
+        "n_points_float", "max_steps_fraction", "max_steps_zero", "grid_side_bool",
+        "greedy_m_fraction", "audit_m_fraction"])
+def test_cli_main_rejects_a_bad_config_with_exit_2(tmp_path, capsys, command, params, named):
+    err, out = _rejected(tmp_path, capsys, command, params)
+    assert named in err
     assert not out.exists()
 
 

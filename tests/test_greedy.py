@@ -137,6 +137,28 @@ def test_one_diagonal_and_one_kernel_column_per_step(monkeypatch):
     assert solves["solve"] == steps - 1
 
 
+def test_one_context_and_one_factorization_per_step_after_the_first(monkeypatch):
+    counts = Counter()
+    init, factor_spd = PowerContext.__init__, linalg.factor_spd
+
+    def counted_init(self, kernel, lam_set):
+        counts["context"] += 1
+        init(self, kernel, lam_set)
+
+    def counted_factor(g):
+        counts["factor"] += 1
+        return factor_spd(g)
+
+    monkeypatch.setattr(PowerContext, "__init__", counted_init)
+    monkeypatch.setattr(linalg, "factor_spd", counted_factor)
+    steps = 7
+    trace = p_greedy(MaternSobolevKernel(5, 2, 1.0), _grid_candidates(4), max_steps=steps)
+    assert len(trace.selected) == steps
+    # step 0's powers are the diagonal, from one context without data; each
+    # later step factors the Gram of the selected set, and builds no context
+    assert counts == {"context": 1, "factor": steps - 1}
+
+
 def test_first_step_tiebreak_lowest_index():
     k = MaternSobolevKernel(5, 2, 1.0)
     cands = _grid_candidates(4)

@@ -204,7 +204,51 @@ def test_cross_matches_scalar_apply():
     block = k.cross(fa, fb)
     for i, a in enumerate(fa):
         for j, b in enumerate(fb):
-            assert block[i, j] == pytest.approx(k.apply(a, b), rel=1e-14)
+            assert block[i, j] == k.apply(a, b)
+
+
+def test_apply_is_the_one_by_one_cross_bit_for_bit():
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(0, 1, size=(20, 2))
+    mixed_2d = ([PointEval(tuple(p)) for p in pts]
+                + [LaplacianEval(tuple(p)) for p in pts])
+    # c = 0.3: 0.3 ** 4 rounds differently from 0.3 ** np.int64(4)
+    hermite = [DerivEval(x, o) for x in rng.uniform(-1, 1, 10) for o in range(3)]
+    for k, fs in [(MaternSobolevKernel(4, 2, 0.9), mixed_2d),
+                  (MaternSobolevKernel(5, 1, 0.3), hermite)]:
+        applied = np.array([[k.apply(a, b) for b in fs] for a in fs])
+        _assert_bitwise_equal(applied, k.cross(fs, fs))
+
+
+def _diag_cases():
+    rng = np.random.default_rng(9)
+    pts = rng.uniform(-1, 1, size=(6, 2))
+    return {
+        "mixed_1d": (MaternSobolevKernel(5, 1, 0.3),
+                     [DerivEval(x, i % 3) for i, x in enumerate(rng.uniform(-1, 1, 9))]
+                     + [PointEval(-0.0), DerivEval(-0.0, 2)]),
+        "mixed_2d": (MaternSobolevKernel(5, 2, 0.7),
+                     [LaplacianEval(tuple(p)) if i % 2 else PointEval(tuple(p))
+                      for i, p in enumerate(pts)]),
+        "grid_value": (MaternSobolevKernel(5, 2, 1.0), [GridValue(tuple(p)) for p in pts]),
+        "empty": (MaternSobolevKernel(5, 1, 1.0), []),
+    }
+
+
+@pytest.mark.parametrize("case", list(_diag_cases()))
+def test_diag_is_per_row_apply_bit_for_bit_with_one_apply_per_order(case, monkeypatch):
+    k, fs = _diag_cases()[case]
+    ref = np.array([k.apply(f, f) for f in fs])
+    calls = []
+    apply = MaternSobolevKernel.apply
+
+    def counting_apply(self, lam, mu):
+        calls.append(lam.order)
+        return apply(self, lam, mu)
+
+    monkeypatch.setattr(MaternSobolevKernel, "apply", counting_apply)
+    _assert_bitwise_equal(k.diag(fs), ref)
+    assert sorted(calls) == sorted({f.order for f in fs})
 
 
 def _cross_without_dedup(k, fa, fb):
@@ -439,3 +483,18 @@ def test_matern_validation():
         MaternSobolevKernel(5, 3)
     with pytest.raises(ValueError):
         MaternSobolevKernel(5, 2, -1.0)
+
+
+def test_matern_rejects_an_order_that_is_not_whole():
+    # m = 5.5 would compute with nu = 4.5 yet compare equal to m = 5,
+    # sharing the cached term stacks of a genuine m = 5 kernel
+    for make in (lambda: MaternSobolevKernel(5.5, 2),
+                 lambda: MaternSobolevKernel(float("inf"), 1),
+                 lambda: kernel_from_spec({"family": "matern", "m": 5.5, "d": 2})):
+        with pytest.raises(ValueError, match="whole number"):
+            make()
+    k = MaternSobolevKernel(5, 2)
+    assert MaternSobolevKernel(5.0, 2) == k and MaternSobolevKernel(5.0, 2).nu == k.nu == 4.0
+    origin = PointEval((0.0, 0.0))
+    assert k.apply(origin, origin) == 1.0
+    assert 0.0 < k.apply(origin, PointEval((0.5, 0.0))) < 1.0
