@@ -70,6 +70,15 @@ def _at_least(config: ExperimentConfig, key: str, default: int, low: int) -> int
     return value
 
 
+def _real(config: ExperimentConfig, key: str, default: float) -> float:
+    """config[key] (default if absent), rejected unless it is a finite JSON
+    number; a bool, string or non-finite value is rejected by name."""
+    value = config.get(key, default)
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # fig1: norms of Lagrangians vs norm-minimal bumps in a weighted Chebyshev space
 
@@ -155,9 +164,9 @@ def run_kansa(config: ExperimentConfig) -> dict:
     n_side = _at_least(config, "n_side", 11, 1)
     n_boundary = config.get("n_boundary", 16)
     include_corners = config.get("include_corners", True)
-    m = config.get("m", 5)
-    scale = config.get("c", 1.0)
-    rtol = config.get("rtol", KANSA_DEFAULT_RTOL)
+    m = _real(config, "m", 5)
+    scale = _real(config, "c", 1.0)
+    rtol = _real(config, "rtol", KANSA_DEFAULT_RTOL)
     eval_side = _at_least(config, "eval_interior_side", 21, 1)
     eval_boundary = _at_least(config, "eval_boundary", 64, 1)
 
@@ -232,19 +241,20 @@ def _identity_poly(rng) -> float:
 
 
 def _identity_ctd(rng) -> tuple[float, float, float]:
-    lo, hi, mid_dev = math.inf, -math.inf, 0.0
-    for _ in range(10_000):
-        xk = float(rng.uniform(-1.0, 1.0))
-        width = float(rng.uniform(1e-3, 2.0))
-        xk1 = xk + width
-        t = float(rng.uniform(1e-6, 1.0 - 1e-6))
-        x = xk + t * width
-        prod = expansion.ctd_power(xk, xk1, x) * expansion.ctd_lagrangian_norm(xk, xk1, x)
-        lo, hi = min(lo, prod), max(hi, prod)
-        xm = xk + 0.5 * width
-        pm = expansion.ctd_power(xk, xk1, xm) * expansion.ctd_lagrangian_norm(xk, xk1, xm)
-        mid_dev = max(mid_dev, abs(pm - 1.0))
-    return lo, hi, mid_dev
+    """Range of power x Lagrangian norm over 10 000 seeded cells and points,
+    and the largest deviation from 1 at the cell midpoints.  Each row of
+    rng.random is one (xk, width, t) draw scaled as lo + (hi - lo) U, which
+    is what rng.uniform computes, so these are its draws bit for bit."""
+    u = rng.random((10_000, 3))
+    xk = -1.0 + 2.0 * u[:, 0]
+    width = 1e-3 + (2.0 - 1e-3) * u[:, 1]
+    t = 1e-6 + ((1.0 - 1e-6) - 1e-6) * u[:, 2]
+    xk1 = xk + width
+    x = xk + t * width
+    prod = expansion.ctd_power(xk, xk1, x) * expansion.ctd_lagrangian_norm(xk, xk1, x)
+    xm = xk + 0.5 * width
+    pm = expansion.ctd_power(xk, xk1, xm) * expansion.ctd_lagrangian_norm(xk, xk1, xm)
+    return float(prod.min()), float(prod.max()), float(np.abs(pm - 1.0).max())
 
 
 _TAYLOR_RULES = ["1", "0.37", "(j+1)^2", "(j+2)^3", "factorial_sq_over:2^j",
@@ -293,21 +303,29 @@ def _kernel_instance(rng, m: int, d: int):
 
 def _identity_kernel(rng, perturb: bool = False) -> float:
     """Product of the Schur-route squared power with the squared Lagrangian
-    norm obtained from an independent extended-Gram solve."""
+    norm obtained from an independent extended-Gram solve.
+
+    The kernel values come from one Gram per (m, d) instance, over the
+    evaluation functionals followed by the data: each row feeds the Schur
+    route, and each extended Gram of {mu} + Lambda is a slice of it.  The
+    Cholesky solve of that extended Gram remains the independent route.
+    """
     worst = 0.0
     for m, d in _KERNEL_SWEEP:
         kernel, lam_set, mus = _kernel_instance(rng, m, d)
         ctx = kernel_recovery.PowerContext(kernel, lam_set)
-        for mu in mus:
-            ev = ctx.power_squared(mu)
+        k = len(mus)
+        g_all = gram(kernel, FunctionalSet(mus + list(lam_set)))
+        data = list(range(k, k + len(lam_set)))
+        for i, mu in enumerate(mus):
+            ev = ctx.power_squared(mu, kernel_row=(g_all[i, i], g_all[i, k:]))
             if ev.excluded:
                 continue
-            ext = FunctionalSet([mu] + list(lam_set))
-            g = gram(kernel, ext)
+            g = g_all[np.ix_([i] + data, [i] + data)]
             if perturb:
                 g[0, 1] *= 1.01
                 g[1, 0] *= 1.01
-            e0 = np.zeros(len(ext))
+            e0 = np.zeros(len(g))
             e0[0] = 1.0
             norm2 = float(linalg.factor_spd(g).solve(e0)[0])
             worst = max(worst, abs(ev.power_squared * norm2 - 1.0))
@@ -359,7 +377,9 @@ def run_identities(config: ExperimentConfig) -> tuple[str, bool]:
     if unknown:
         raise ValueError(f"unknown identity suites {unknown}; "
                          f"known: {', '.join(IDENTITY_SUITES)}")
-    perturb = bool(config.get("perturb", False))
+    perturb = config.get("perturb", False)
+    if type(perturb) is not bool:
+        raise ValueError(f"perturb must be true or false, got {perturb!r}")
     lines = [f"identity suite (seed {config.seed})"]
     ok = True
     for i, name in enumerate(IDENTITY_SUITES):
@@ -388,10 +408,11 @@ def run_identities(config: ExperimentConfig) -> tuple[str, bool]:
 def run_greedy(config: ExperimentConfig) -> dict:
     side = _at_least(config, "grid_side", 10, 1)
     steps = _at_least(config, "max_steps", 25, 1)
-    tolerance = config.get("tolerance", 0.0)
-    m = config.get("m", 5)
-    d = config.get("d", 2)
-    scale = config.get("c", 1.0)
+    tolerance = _real(config, "tolerance", 0.0)
+    # m goes to the kernel's whole-number check, as in an audit kernel spec
+    m = _real(config, "m", 5)
+    d = _at_least(config, "d", 2, 1)
+    scale = _real(config, "c", 1.0)
     kernel = MaternSobolevKernel(m, d, scale)
     h = (np.arange(side) + 0.5) / side
     if d == 2:

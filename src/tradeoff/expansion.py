@@ -78,23 +78,40 @@ def poly_lagrangian_seminorm(nodes, x: float) -> float:
 # ---------------------------------------------------------------------------
 # connect-the-dots in C_0^1 under the sup norm of the first derivative
 
-def _check_cell(xk: float, xk1: float, x: float):
-    if not xk < x < xk1:
-        raise OutOfCell(f"x = {x} is not inside ({xk}, {xk1})")
+def _cell(xk, xk1, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """xk, xk1 and x as float arrays, each x strictly inside its cell
+    (xk, xk1) after broadcasting; raises OutOfCell naming the first element
+    that is not (a NaN is never inside)."""
+    xk, xk1, x = (np.asarray(v, dtype=float) for v in (xk, xk1, x))
+    inside = (xk < x) & (x < xk1)
+    if not inside.all():
+        xk, xk1, x, inside = np.broadcast_arrays(xk, xk1, x, inside)
+        i = np.flatnonzero(~inside)[0]
+        raise OutOfCell(f"x = {x.flat[i]} is not inside ({xk.flat[i]}, {xk1.flat[i]})")
+    return xk, xk1, x
 
 
-def ctd_power(xk: float, xk1: float, x: float) -> float:
+def _scalar_or_array(a: np.ndarray):
+    return float(a) if a.ndim == 0 else a
+
+
+def ctd_power(xk, xk1, x):
     """Add-one-in power of piecewise-linear interpolation on a cell:
-    2 (x_{k+1} - x)(x - x_k) / (x_{k+1} - x_k)."""
-    _check_cell(xk, xk1, x)
-    return 2.0 * (xk1 - x) * (x - xk) / (xk1 - xk)
+    2 (x_{k+1} - x)(x - x_k) / (x_{k+1} - x_k).
+
+    Accepts scalars (returning a float) or arrays that broadcast together
+    (returning an array, elementwise the scalar values bit for bit)."""
+    xk, xk1, x = _cell(xk, xk1, x)
+    return _scalar_or_array(2.0 * (xk1 - x) * (x - xk) / (xk1 - xk))
 
 
-def ctd_lagrangian_norm(xk: float, xk1: float, x: float) -> float:
+def ctd_lagrangian_norm(xk, xk1, x):
     """Norm of the hat Lagrangian at x: 1 / min(x_{k+1} - x, x - x_k).
-    The product with ctd_power lies in [1, 2], hitting 1 at midpoints."""
-    _check_cell(xk, xk1, x)
-    return 1.0 / min(xk1 - x, x - xk)
+    The product with ctd_power lies in [1, 2], hitting 1 at midpoints.
+
+    Accepts scalars or broadcasting arrays, as ctd_power does."""
+    xk, xk1, x = _cell(xk, xk1, x)
+    return _scalar_or_array(1.0 / np.minimum(xk1 - x, x - xk))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tradeoff import cli
+from tradeoff import cli, kernel_recovery, linalg
 from tradeoff.cli import ExperimentConfig, main, run_fig1, run_greedy, run_identities, run_kansa
-from tradeoff.kernels import MaternSobolevKernel
+from tradeoff.functionals import FunctionalSet
+from tradeoff.kernels import MaternSobolevKernel, gram
 
 
 def test_fig1_summary_and_curves(tmp_path):
@@ -110,6 +111,91 @@ def test_identities_suite_error_is_a_failure_not_a_crash(tmp_path, monkeypatch):
     assert not ok
     assert "FAIL ctd: raised ArithmeticError: broken ctd" in text
     assert "PASS svd:" in text
+
+
+# The suites as they were written first, one evaluation point at a time:
+# the oracles that the vectorized ctd suite and the one-Gram kernel suite
+# must equal bit for bit.  The ctd loop spells out the closed forms in
+# Python floats, so it shares no code with the array path.
+
+def _scalar_ctd_suite(rng):
+    def product(xk, xk1, x):
+        assert xk < x < xk1
+        return 2.0 * (xk1 - x) * (x - xk) / (xk1 - xk) * (1.0 / min(xk1 - x, x - xk))
+
+    lo, hi, mid_dev = float("inf"), float("-inf"), 0.0
+    for _ in range(10_000):
+        xk = float(rng.uniform(-1.0, 1.0))
+        width = float(rng.uniform(1e-3, 2.0))
+        xk1 = xk + width
+        t = float(rng.uniform(1e-6, 1.0 - 1e-6))
+        prod = product(xk, xk1, xk + t * width)
+        lo, hi = min(lo, prod), max(hi, prod)
+        mid_dev = max(mid_dev, abs(product(xk, xk1, xk + 0.5 * width) - 1.0))
+    return lo, hi, mid_dev
+
+
+def _per_mu_kernel_suite(rng, perturb):
+    worst = 0.0
+    for m, d in cli._KERNEL_SWEEP:
+        kernel, lam_set, mus = cli._kernel_instance(rng, m, d)
+        ctx = kernel_recovery.PowerContext(kernel, lam_set)
+        for mu in mus:
+            ev = ctx.power_squared(mu)
+            if ev.excluded:
+                continue
+            ext = FunctionalSet([mu] + list(lam_set))
+            g = gram(kernel, ext)
+            if perturb:
+                g[0, 1] *= 1.01
+                g[1, 0] *= 1.01
+            e0 = np.zeros(len(ext))
+            e0[0] = 1.0
+            norm2 = float(linalg.factor_spd(g).solve(e0)[0])
+            worst = max(worst, abs(ev.power_squared * norm2 - 1.0))
+    return worst
+
+
+def _outcome(suite, *args):
+    """The suite's result as float.hex strings, or its exception's type and
+    message."""
+    try:
+        result = suite(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return tuple(float(v).hex() for v in np.atleast_1d(result))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ctd_suite_equals_the_scalar_loop_bit_for_bit(seed):
+    assert _outcome(cli._identity_ctd, np.random.default_rng(seed)) \
+        == _outcome(_scalar_ctd_suite, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("perturb", [False, True], ids=["plain", "perturb"])
+@pytest.mark.parametrize("seed", range(20))
+def test_kernel_suite_equals_the_per_mu_loop_bit_for_bit(seed, perturb):
+    assert _outcome(cli._identity_kernel, np.random.default_rng(seed), perturb) \
+        == _outcome(_per_mu_kernel_suite, np.random.default_rng(seed), perturb)
+
+
+def test_kernel_suite_evaluates_one_gram_per_instance(monkeypatch):
+    calls = Counter()
+
+    class CountingMatern(MaternSobolevKernel):
+        def diag(self, fset):
+            calls["diag"] += 1
+            return super().diag(fset)
+
+        def cross(self, set_a, set_b):
+            calls["cross"] += 1
+            return super().cross(set_a, set_b)
+
+    monkeypatch.setattr(cli, "MaternSobolevKernel", CountingMatern)
+    cli._identity_kernel(np.random.default_rng(0))
+    # per (m, d) instance: the data Gram of the context and the one Gram
+    # over the evaluation functionals and the data; no diag
+    assert calls == {"cross": 2 * len(cli._KERNEL_SWEEP)}
 
 
 def test_greedy_runner(tmp_path):
@@ -231,9 +317,23 @@ _MATERN_5_5 = {"kernel": {"family": "matern", "m": 5.5, "d": 2},
     ("greedy", {"grid_side": True}, "grid_side"),
     ("greedy", {"grid_side": 3, "max_steps": 2, "m": 5.5}, "whole number"),
     ("audit", _MATERN_5_5, "whole number"),
+    ("greedy", {"m": "5"}, "m must be a finite number"),
+    ("greedy", {"c": "1"}, "c must be a finite number"),
+    ("greedy", {"tolerance": "x"}, "tolerance must be a finite number"),
+    ("greedy", {"tolerance": float("nan")}, "tolerance must be a finite number"),
+    ("greedy", {"d": "2"}, "d must be an integer"),
+    ("greedy", {"d": 2.0}, "d must be an integer"),
+    ("kansa", {"c": True}, "c must be a finite number"),
+    ("kansa", {"rtol": "1e-10"}, "rtol must be a finite number"),
+    ("kansa", {"m": float("inf")}, "m must be a finite number"),
+    ("identities", {"perturb": "no"}, "perturb must be true or false"),
+    ("identities", {"perturb": 0}, "perturb must be true or false"),
 ], ids=["list", "string", "n_side_fraction", "eval_side_float", "n_points_string",
         "n_points_float", "max_steps_fraction", "max_steps_zero", "grid_side_bool",
-        "greedy_m_fraction", "audit_m_fraction"])
+        "greedy_m_fraction", "audit_m_fraction", "greedy_m_string", "greedy_c_string",
+        "greedy_tolerance_string", "greedy_tolerance_nan", "greedy_d_string",
+        "greedy_d_float", "kansa_c_bool", "kansa_rtol_string", "kansa_m_inf",
+        "perturb_string", "perturb_int"])
 def test_cli_main_rejects_a_bad_config_with_exit_2(tmp_path, capsys, command, params, named):
     err, out = _rejected(tmp_path, capsys, command, params)
     assert named in err

@@ -83,6 +83,39 @@ def test_ctd_out_of_cell():
         ex.ctd_lagrangian_norm(0.0, 1.0, -0.5)
 
 
+def test_ctd_scalar_input_returns_a_float():
+    assert type(ex.ctd_power(0.0, 1.0, 0.5)) is float
+    assert type(ex.ctd_lagrangian_norm(0, 1, 0.25)) is float
+
+
+def test_ctd_arrays_equal_the_scalar_values_bit_for_bit():
+    rng = np.random.default_rng(5)
+    xk = rng.uniform(-1, 1, 500)
+    xk1 = xk + rng.uniform(1e-3, 2, 500)
+    x = xk + rng.uniform(1e-6, 1 - 1e-6, 500) * (xk1 - xk)
+    x[:3] = (xk[:3] + xk1[:3]) / 2  # midpoints, where the product is 1
+    for f in (ex.ctd_power, ex.ctd_lagrangian_norm):
+        values = f(xk, xk1, x)
+        assert values.shape == (500,)
+        assert [v.hex() for v in values.tolist()] \
+            == [f(a, b, c).hex() for a, b, c in zip(xk.tolist(), xk1.tolist(), x.tolist())]
+    # scalars broadcast against arrays: one cell, many points
+    assert ex.ctd_power(0.0, 1.0, np.array([0.25, 0.5])).tolist() == [0.375, 0.5]
+
+
+@pytest.mark.parametrize("bad,shown", [(1.5, "x = 1.5 is not inside (0.0, 1.0)"),
+                                       (np.nan, "x = nan is not inside (0.0, 1.0)")],
+                         ids=["outside", "nan"])
+def test_ctd_array_names_the_first_element_outside_its_cell(bad, shown):
+    xk = np.array([-1.0, -0.5, 0.0, 0.2])
+    xk1 = np.array([1.0, 0.5, 1.0, 0.9])
+    x = np.array([0.0, 0.1, bad, 5.0])  # the last one is outside too
+    for f in (ex.ctd_power, ex.ctd_lagrangian_norm):
+        with pytest.raises(OutOfCell) as info:
+            f(xk, xk1, x)
+        assert str(info.value) == shown
+
+
 # ---- Taylor data ----
 
 def test_taylor_values():
