@@ -79,6 +79,14 @@ def _real(config: ExperimentConfig, key: str, default: float) -> float:
     return value
 
 
+def _flag(config: ExperimentConfig, key: str, default: bool) -> bool:
+    """config[key] (default if absent), rejected unless it is a JSON bool."""
+    value = config.get(key, default)
+    if type(value) is not bool:
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # fig1: norms of Lagrangians vs norm-minimal bumps in a weighted Chebyshev space
 
@@ -100,10 +108,11 @@ def run_fig1(config: ExperimentConfig) -> dict:
     Lagrangian norm; the full truncated tail power is emitted alongside.
     """
     n_points = _at_least(config, "n_points", 11, 2)
-    extra = config.get("extra_point", -0.9056)
-    tail = config.get("tail_order", 121)
+    extra = _real(config, "extra_point", -0.9056)
+    # a tail shorter than the node count leaves the constraints rank deficient
+    tail = _at_least(config, "tail_order", 121, n_points)
     weights = config.get("weights", "(j+1)^2")
-    n_curve = config.get("curve_points", 401)
+    n_curve = _at_least(config, "curve_points", 401, 0)
     families = config.get(
         "families", ["equidistant", "chebyshev_extrema", "chebyshev_zeros"])
 
@@ -162,8 +171,8 @@ def run_kansa(config: ExperimentConfig) -> dict:
     """Squared power functions of pseudoinverse-based unsymmetric collocation
     against symmetric collocation, plus pseudo-Lagrangian stability norms."""
     n_side = _at_least(config, "n_side", 11, 1)
-    n_boundary = config.get("n_boundary", 16)
-    include_corners = config.get("include_corners", True)
+    n_boundary = _at_least(config, "n_boundary", 16, 0)
+    include_corners = _flag(config, "include_corners", True)
     m = _real(config, "m", 5)
     scale = _real(config, "c", 1.0)
     rtol = _real(config, "rtol", KANSA_DEFAULT_RTOL)
@@ -323,8 +332,9 @@ def _identity_kernel(rng, perturb: bool = False) -> float:
                 continue
             g = g_all[np.ix_([i] + data, [i] + data)]
             if perturb:
-                g[0, 1] *= 1.01
-                g[1, 0] *= 1.01
+                # scaling K(mu, mu) keeps g positive definite, so the control
+                # fails on the product itself, not on the Cholesky
+                g[0, 0] *= 1.01
             e0 = np.zeros(len(g))
             e0[0] = 1.0
             norm2 = float(linalg.factor_spd(g).solve(e0)[0])
@@ -377,9 +387,7 @@ def run_identities(config: ExperimentConfig) -> tuple[str, bool]:
     if unknown:
         raise ValueError(f"unknown identity suites {unknown}; "
                          f"known: {', '.join(IDENTITY_SUITES)}")
-    perturb = config.get("perturb", False)
-    if type(perturb) is not bool:
-        raise ValueError(f"perturb must be true or false, got {perturb!r}")
+    perturb = _flag(config, "perturb", False)
     lines = [f"identity suite (seed {config.seed})"]
     ok = True
     for i, name in enumerate(IDENTITY_SUITES):
@@ -480,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=IDENTITY_SUITES,
                            help="run only the named suites (repeatable)")
             p.add_argument("--perturb", action="store_true",
-                           help="negative control: perturb a Gram entry by 1.01")
+                           help="negative control: scale K(mu, mu) in each "
+                                "extended Gram by 1.01")
     return parser
 
 

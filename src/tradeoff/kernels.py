@@ -33,15 +33,20 @@ from .errors import UnsupportedPair
 from .functionals import Functional, vandermonde
 from .weights import weight_array
 
-# below s = r/c < 1e-6 the g-terms switch to their r -> 0 limits
+# below s = r/c < 1e-6 the g-terms switch to their leading r -> 0 terms
 _SMALL_S = 1e-6
 
 
 def _g_pow(p: int, a: float, s: np.ndarray) -> np.ndarray:
     """Evaluate |u|^p g_a(|u|) = s^(p+a) K_|a|(s) elementwise, s >= 0.
 
-    The s -> 0 limit is 0 for p+a > |a| and 2^(|a|-1) Gamma(|a|) for
-    p+a = |a| > 0; other cases are divergent and rejected upstream.
+    Below s = _SMALL_S the leading term of K_b(s) as s -> 0 replaces the
+    Bessel call: 2^(b-1) Gamma(b) s^(q-b) for b > 0 (the constant limit
+    when q = b), and -s^q (ln(s/2) + gamma) for b = 0, 0 at s = 0.  Every
+    b here is a multiple of 1/2, and the next term is O(s^2) smaller, or
+    O(s^2 ln s) for b = 1, except for b = 1/2, where it is O(s); that case
+    takes the exact K_1/2(s) = sqrt(pi / (2 s)) e^-s.  The case q < b, and
+    q = b = 0, diverges and is rejected upstream.
     """
     q, b = p + a, abs(a)
     if q < b or (q == b and b == 0.0):
@@ -52,7 +57,14 @@ def _g_pow(p: int, a: float, s: np.ndarray) -> np.ndarray:
     ns = s[~small]
     out[~small] = ns ** q * _kv(b, ns)
     if small.any():
-        out[small] = 0.0 if q > b else 2.0 ** (b - 1.0) * _gamma(b)
+        ss = s[small]
+        if b > 0.0:
+            lead = 2.0 ** (b - 1.0) * _gamma(b) * ss ** (q - b)
+            out[small] = lead * np.exp(-ss) if b == 0.5 else lead
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lead = -ss ** q * (np.log(ss / 2.0) + np.euler_gamma)
+            out[small] = np.where(ss > 0.0, lead, 0.0)
     return out
 
 

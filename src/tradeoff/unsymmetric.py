@@ -80,7 +80,7 @@ class PoissonSetup:
         trial points defaulting to the interior grid."""
         h = np.arange(1, n_side + 1) / (n_side + 1.0)
         interior = np.array([[x, y] for x in h for y in h])
-        t0 = 0.0 if include_corners else 2.0 / n_boundary
+        t0 = 2.0 / n_boundary if n_boundary and not include_corners else 0.0
         boundary = unit_square_perimeter(t0 + np.arange(n_boundary) * 4.0 / n_boundary)
         trial = interior if trial_points is None else np.asarray(trial_points, float)
         return cls(kernel=kernel, interior=interior, boundary=boundary, trial=trial)
@@ -149,9 +149,9 @@ def build_kansa(setup: PoissonSetup, rtol: float | None = None) -> UnsymmetricRe
 def _kansa_p2(kmm, kml, b, gram) -> np.ndarray:
     """K_mumu - 2 b^T K_{Lambda,mu} + b^T K_{Lambda,Lambda} b per row,
     clamped at 0; b holds the pseudo-Lagrange values mu(a_k).  The quadratic
-    form is one matrix product (BLAS) and a row-wise dot."""
+    form is one matrix product (BLAS, linalg.matmul) and a row-wise dot."""
     p2 = (kmm - 2.0 * np.einsum("ij,ij->i", b, kml)
-          + np.einsum("ij,ij->i", b @ gram, b))
+          + np.einsum("ij,ij->i", linalg.matmul(b, gram), b))
     return np.maximum(p2, 0.0)
 
 
@@ -167,7 +167,8 @@ def kansa_power_squared_batch(rec: UnsymmetricRecovery, mus) -> tuple[np.ndarray
     mus = list(mus)
     kmm = rec.kernel.diag(mus)
     kml = rec.kernel.cross(mus, rec.functionals)
-    b = rec.kernel.cross(mus, rec.trial_functionals) @ rec.coefficient_map
+    b = linalg.matmul(rec.kernel.cross(mus, rec.trial_functionals),
+                      rec.coefficient_map)
     p2_sym, _ = schur_batch(rec.context.factor, kmm, kml)
     return _kansa_p2(kmm, kml, b, rec.context.gram), p2_sym
 
@@ -177,15 +178,16 @@ def kansa_site_power_squared(rec: UnsymmetricRecovery) -> np.ndarray:
     rows and diagonal of the one data Gram of rec.context are K(mu, Lambda)
     and K(mu, mu) there, and A C gives the pseudo-Lagrange values."""
     g = rec.context.gram
-    return _kansa_p2(np.diag(g), g, rec.vandermonde @ rec.coefficient_map, g)
+    return _kansa_p2(np.diag(g), g,
+                     linalg.matmul(rec.vandermonde, rec.coefficient_map), g)
 
 
 def pseudo_lagrangian_norms(rec: UnsymmetricRecovery) -> np.ndarray:
     """Squared norms ||a_k||^2, the diagonal of C^T K_{T,T} C: one matrix
-    product (BLAS) and a column-wise dot."""
+    product (BLAS, linalg.matmul) and a column-wise dot."""
     c = rec.coefficient_map
     k_tt = kernels.gram(rec.kernel, rec.trial_functionals)
-    return np.einsum("ji,ji->i", c, k_tt @ c)
+    return np.einsum("ji,ji->i", c, linalg.matmul(k_tt, c))
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,8 @@ def test_identities_perturbation_fails(tmp_path):
                            out_dir=tmp_path)
     text, ok = run_identities(cfg)
     assert not ok
-    assert "FAIL kernel" in text
+    # the control fails on the product check, not by raising
+    assert "FAIL kernel: max |P^2*norm^2 - 1|" in text
 
 
 def test_identities_suite_filter(tmp_path):
@@ -147,8 +148,7 @@ def _per_mu_kernel_suite(rng, perturb):
             ext = FunctionalSet([mu] + list(lam_set))
             g = gram(kernel, ext)
             if perturb:
-                g[0, 1] *= 1.01
-                g[1, 0] *= 1.01
+                g[0, 0] *= 1.01
             e0 = np.zeros(len(ext))
             e0[0] = 1.0
             norm2 = float(linalg.factor_spd(g).solve(e0)[0])
@@ -328,12 +328,21 @@ _MATERN_5_5 = {"kernel": {"family": "matern", "m": 5.5, "d": 2},
     ("kansa", {"m": float("inf")}, "m must be a finite number"),
     ("identities", {"perturb": "no"}, "perturb must be true or false"),
     ("identities", {"perturb": 0}, "perturb must be true or false"),
+    ("kansa", {"n_boundary": "16"}, "n_boundary must be an integer"),
+    ("kansa", {"n_boundary": -1}, "n_boundary must be >= 0"),
+    ("kansa", {"include_corners": "no"}, "include_corners must be true or false"),
+    ("fig1", {"tail_order": "121"}, "tail_order must be an integer"),
+    ("fig1", {"n_points": 5, "tail_order": 4}, "tail_order must be >= 5"),
+    ("fig1", {"curve_points": "401"}, "curve_points must be an integer"),
+    ("fig1", {"extra_point": "x"}, "extra_point must be a finite number"),
 ], ids=["list", "string", "n_side_fraction", "eval_side_float", "n_points_string",
         "n_points_float", "max_steps_fraction", "max_steps_zero", "grid_side_bool",
         "greedy_m_fraction", "audit_m_fraction", "greedy_m_string", "greedy_c_string",
         "greedy_tolerance_string", "greedy_tolerance_nan", "greedy_d_string",
         "greedy_d_float", "kansa_c_bool", "kansa_rtol_string", "kansa_m_inf",
-        "perturb_string", "perturb_int"])
+        "perturb_string", "perturb_int", "n_boundary_string", "n_boundary_negative",
+        "include_corners_string", "tail_order_string", "tail_order_short",
+        "curve_points_string", "extra_point_string"])
 def test_cli_main_rejects_a_bad_config_with_exit_2(tmp_path, capsys, command, params, named):
     err, out = _rejected(tmp_path, capsys, command, params)
     assert named in err

@@ -146,6 +146,73 @@ def test_coincidence_limits_are_continuous():
         2 * 4 / (4 * (nu - 1) * (nu - 2)), rel=1e-12)
 
 
+# distances on both sides of the small-distance switch at s = 1e-6
+_SMALL_DISTANCES = ["2e-6", "1.0001e-6", "0.9999e-6", "1e-7", "1e-9", "1e-12"]
+
+
+def _matern_entries_mp(d: int, m: int, s: str) -> dict:
+    """50-digit kernel entries lambda^x mu^y K between functionals at
+    distance s and at the origin, keyed by derivative orders (n_a, n_b): the
+    1-d derivative pairs, or the 2-d point/Laplacian pairs.  With
+    g_j = C r^(nu-j) K_(nu-j)(r), DLMF 10.29.4 gives (d/r dr)^j g_0 =
+    (-1)^j g_j, from which the derivatives of phi = g_0 and the 2-d radial
+    Laplacians f'' + f'/r below follow."""
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    nu = mp.mpf(m) - mp.mpf(d) / 2
+    r = mp.mpf(s)
+    c = mp.mpf(2) ** (1 - nu) / mp.gamma(nu)
+    g = [c * r ** (nu - j) * mp.besselk(nu - j, r) if j < 2 * nu else None
+         for j in range(5)]
+    if d == 2:
+        lap = -2 * g[1] + r ** 2 * g[2]
+        return {(0, 0): g[0], (2, 0): lap, (0, 2): lap,
+                (2, 2): 8 * g[2] - 8 * r ** 2 * g[3] + r ** 4 * g[4]}
+    derivs = [g[0], -r * g[1], -g[1] + r ** 2 * g[2]]
+    if g[3] is not None:
+        derivs.append(3 * r * g[2] - r ** 3 * g[3])
+    if g[4] is not None:
+        derivs.append(3 * g[2] - 6 * r ** 2 * g[3] + r ** 4 * g[4])
+    return {(na, nb): (-1) ** nb * derivs[na + nb]
+            for na in range(3) for nb in range(3) if na + nb < len(derivs)}
+
+
+@pytest.mark.parametrize("d,m", [(1, 3), (1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (2, 6)])
+def test_small_distance_entries_against_mpmath(d, m):
+    # every entry near coincidence within 1e-10 relative of 50 digits; below
+    # s = 1e-6 the kernel takes leading series terms in place of kv
+    mpmath = pytest.importorskip("mpmath")
+    k = MaternSobolevKernel(m, d, 1.0)
+
+    def functional(order, x):
+        if d == 1:
+            return DerivEval(x, order)
+        return (LaplacianEval if order else PointEval)((x, 0.0))
+
+    for s in _SMALL_DISTANCES:
+        for (na, nb), ref in _matern_entries_mp(d, m, s).items():
+            got = k.apply(functional(na, float(s)), functional(nb, 0.0))
+            assert abs((mpmath.mpf(got) - ref) / ref) <= 1e-10, (s, na, nb, got)
+
+
+@pytest.mark.parametrize("p,a", [(0, 0.5), (1, -0.5), (1, 0.5), (2, 0.0), (4, 0.0),
+                                 (1, 1.0), (3, -1.0), (2, 1.5), (4, -2.0), (1, 2.5)])
+def test_small_distance_terms_against_mpmath(p, a):
+    # each term s^(p+a) K_|a|(s) on its own, so that a branch too small to
+    # show in a kernel entry, like the logarithm of b = 0, is checked too
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    s = np.array([float(v) for v in _SMALL_DISTANCES])
+    got = kernels._g_pow(p, a, s)
+    for si, gi in zip(_SMALL_DISTANCES, got):
+        r = mp.mpf(si)
+        ref = r ** (p + a) * mp.besselk(abs(a), r)
+        assert abs((mp.mpf(gi) - ref) / ref) <= 1e-10, (si, gi)
+
+
 def test_unsupported_applications():
     k2 = MaternSobolevKernel(3, 2, 1.0)  # nu = 2: Laplacian pairs unavailable
     lap = LaplacianEval((0.2, 0.2))

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tradeoff.errors import DimensionMismatch, NotPositiveDefinite
 from tradeoff.linalg import factor_spd, svd
@@ -100,3 +106,67 @@ def test_solve_rejects_a_nonfinite_rhs(bad, shape):
     b[1] = bad
     with pytest.raises(ValueError, match="finite"):
         factor_spd(np.eye(3) * 2.0).solve(b)
+
+
+def _spd(rng, n: int) -> np.ndarray:
+    m = rng.normal(size=(n, n))
+    return m @ m.T + n * np.eye(n)
+
+
+def _refined(f, b) -> np.ndarray:
+    """The solve with its residual formed by numpy's @: the oracle for
+    SpdFactor.solve's bits."""
+    x = scipy.linalg.cho_solve(f.cho, b, check_finite=False)
+    return x + scipy.linalg.cho_solve(f.cho, b - f.a @ x, check_finite=False)
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 400])
+def test_vector_solve_equals_the_numpy_residual_bit_for_bit(n):
+    # at any thread count: the per-row report and identity solves keep
+    # their bits
+    rng = np.random.default_rng(n)
+    f = factor_spd(_spd(rng, n))
+    b = rng.normal(size=n)
+    assert np.array_equal(f.solve(b), _refined(f, b))
+
+
+# Run in a fresh interpreter, because the BLAS thread count is read when the
+# libraries load: at one thread, matmul makes numpy's BLAS call, so products
+# and 2-d solves over C- and Fortran-ordered operands equal numpy's bits.
+_ONE_THREAD_CHECK = """
+import numpy as np
+import scipy.linalg
+from tradeoff import linalg
+
+def refined(f, b):
+    x = scipy.linalg.cho_solve(f.cho, b, check_finite=False)
+    return x + scipy.linalg.cho_solve(f.cho, b - f.a @ x, check_finite=False)
+
+rng = np.random.default_rng(0)
+bad = []
+for n in [*range(1, 65), 305, 545]:
+    m = rng.normal(size=(n, n))
+    a = m @ m.T + n * np.eye(n)
+    f = linalg.factor_spd(a)
+    for cols in (1, 7, 64):
+        b = rng.normal(size=(n, cols))
+        for x in (a, np.asfortranarray(a)):
+            for y in (b, np.asfortranarray(b)):
+                for lhs, rhs in ((x, y), (y.T, x)):
+                    if not np.array_equal(linalg.matmul(lhs, rhs), lhs @ rhs):
+                        bad.append(("matmul", lhs.shape, rhs.shape))
+        for y in (b, np.asfortranarray(b)):
+            if not np.array_equal(f.solve(y), refined(f, y)):
+                bad.append(("solve", n, cols))
+print(len(bad), bad[:5])
+"""
+
+
+def test_products_and_matrix_solves_equal_numpy_at_one_blas_thread():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _ONE_THREAD_CHECK], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0 []"

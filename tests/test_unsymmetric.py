@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tradeoff import linalg
 from tradeoff.errors import NoBumpExists
 from tradeoff.functionals import FunctionalSet, LaplacianEval, PointEval
 from tradeoff.kernel_recovery import PowerContext
@@ -34,6 +35,10 @@ def test_regular_setup_counts_and_validation():
     assert [0.0, 0.0] in s.boundary.tolist()  # corners included by default
     s2 = PoissonSetup.regular(k, n_side=3, n_boundary=8, include_corners=False)
     assert [0.0, 0.0] not in s2.boundary.tolist()
+    # no boundary points at all, with or without corners
+    for corners in (True, False):
+        s0 = PoissonSetup.regular(k, n_side=3, n_boundary=0, include_corners=corners)
+        assert s0.boundary.shape == (0, 2)
     with pytest.raises(ValueError):
         PoissonSetup(kernel=k, interior=np.array([[0.0, 0.5]]),
                      boundary=np.array([[0.0, 0.0]]), trial=np.array([[0.5, 0.5]]))
@@ -156,9 +161,9 @@ def test_kansa_site_power_reuses_the_data_gram():
     rec = build_kansa(PoissonSetup.regular(k, n_side=4, n_boundary=8))
     lam = rec.functionals
     kmm, kml = k.diag(lam), k.cross(lam, lam)
-    b = k.cross(lam, rec.trial_functionals) @ rec.coefficient_map
+    b = linalg.matmul(k.cross(lam, rec.trial_functionals), rec.coefficient_map)
     p2 = (kmm - 2.0 * np.einsum("ij,ij->i", b, kml)
-          + np.einsum("ij,ij->i", b @ gram(k, lam), b))
+          + np.einsum("ij,ij->i", linalg.matmul(b, gram(k, lam)), b))
     assert np.array_equal(kansa_site_power_squared(rec), np.maximum(p2, 0.0))
 
 
@@ -197,13 +202,13 @@ def test_kansa_quadratic_forms_against_long_double(n_side):
                + ((lb @ g.astype(ld)) * lb).sum(1))
         size = (np.abs(kmm) + 2.0 * (np.abs(b) * np.abs(kml)).sum(1)
                 + ((np.abs(b) @ np.abs(g)) * np.abs(b)).sum(1))
-        return (lin + np.einsum("ij,ij->i", b @ g, b),
+        return (lin + np.einsum("ij,ij->i", linalg.matmul(b, g), b),
                 lin + np.einsum("ij,jk,ik->i", b, g, b), ref, size, len(g))
 
-    site = forms(np.diag(g), g, rec.vandermonde @ c)
+    site = forms(np.diag(g), g, linalg.matmul(rec.vandermonde, c))
     assert np.array_equal(kansa_site_power_squared(rec), np.maximum(site[0], 0.0))
     kmm, kml = k.diag(mus), k.cross(mus, rec.functionals)
-    surface = forms(kmm, kml, k.cross(mus, rec.trial_functionals) @ c)
+    surface = forms(kmm, kml, linalg.matmul(k.cross(mus, rec.trial_functionals), c))
     assert np.array_equal(kansa_power_squared_batch(rec, mus)[0],
                           np.maximum(surface[0], 0.0))
     k_tt = gram(k, rec.trial_functionals)
