@@ -21,23 +21,24 @@ EXCLUDED_RTOL = 1e-12
 # floor so roundoff near the excluded case cannot trip the check
 _AGREE_RTOL = 1e-7
 
-# tradeoff_report evaluates its rows' kernel values this many rows at a
-# time: one diag and one cross call per block, while a block's cross
-# (rows x N) stays small beside the Gram
+# tradeoff_report evaluates its rows this many at a time: one diag, one
+# cross call and one solve per block, while a block's cross and Lagrange
+# values (rows x N each) stay small beside the Gram
 _REPORT_BLOCK = 128
 
 
 @dataclass(frozen=True)
 class PowerEvaluation:
     """Squared add-one-in power of one evaluation functional, with the
-    Lagrange values mu(u_j) and the kernel row mu^x lambda_j^y K produced
-    along the way."""
+    Lagrange values mu(u_j), the kernel row mu^x lambda_j^y K and the
+    bordered-form value of the second route produced along the way."""
 
     mu: Functional
     power_squared: float
     lagrange_values: np.ndarray
     k_mu_mu: float
     k_mu_lambda: np.ndarray
+    bordered: float
     clamped: bool = False
 
     @property
@@ -88,26 +89,21 @@ class PowerContext:
         p2, lagrange = schur_batch(self.factor, kmm, self.kernel.cross(mus, self.lam_set))
         return p2, lagrange, kmm
 
-    def _bordered_form(self, c0: float, c: np.ndarray, kmm: float,
-                       kml: np.ndarray) -> float:
-        """Quadratic form of (c0, c) over the Gram of {mu} + Lambda bordered
-        by the row kml = mu^x lambda_j^y K.
-
-        This is the paper's second route to the power function, kept as the
-        independent check of the Schur complement: at (1, -mu(u_j)) it is
-        P^2, and at that vector over P^2 it is the squared Lagrangian norm.
-        """
-        return c0 * c0 * kmm + 2.0 * c0 * float(c @ kml) + float(c @ self.gram @ c)
-
     def power_squared(self, mu: Functional, cross_check: bool = True,
-                      kernel_row: tuple | None = None) -> PowerEvaluation:
-        """Squared power via the Schur complement, cross-checked against the
-        bordered quadratic form with coefficients (1, -mu(u_1), ..., -mu(u_N)).
+                      kernel_row: tuple | None = None,
+                      lagrange_values: np.ndarray | None = None) -> PowerEvaluation:
+        """Squared power via the Schur complement K_mumu - k^T w, with the
+        Lagrange values w = G^-1 k, and the paper's second route: the
+        bordered quadratic form B = K_mumu - 2 k^T w + w^T G w, the form of
+        (1, -w) over the Gram of {mu} + Lambda.  With cross_check the two
+        routes must agree or ArithmeticError is raised.
 
         kernel_row is (K(mu, mu), K(mu, Lambda)) when the caller already
         holds them (they must equal kernel.diag([mu])[0] and
         kernel.cross([mu], lam_set)[0]; the second is ignored without data);
-        by default they are evaluated here.
+        by default they are evaluated here.  lagrange_values is w when the
+        caller has solved for it, as tradeoff_report does for a block of
+        rows at once; by default it is solved for here.
         """
         if kernel_row is None:
             kmm = self.kernel.diag([mu])[0]
@@ -116,11 +112,12 @@ class PowerContext:
             kmm, kml = kernel_row
         kmm = float(kmm)
         if self.factor is None:
-            return PowerEvaluation(mu, max(kmm, 0.0), np.zeros(0), kmm, np.zeros(0))
-        w = self.factor.solve(kml)
-        schur = kmm - float(kml @ w)
+            return PowerEvaluation(mu, max(kmm, 0.0), np.zeros(0), kmm, np.zeros(0), kmm)
+        w = self.factor.solve(kml) if lagrange_values is None else lagrange_values
+        kw = float(kml @ w)
+        schur = kmm - kw
+        bordered = kmm - 2.0 * kw + float(w @ self.gram @ w)
         if cross_check:
-            bordered = self._bordered_form(1.0, -w, kmm, kml)
             # the routes differ by w^T (G w - k); allow the backward-error
             # level of that residual besides the relative tolerance
             floor = 1e-13 * len(w) * (abs(kmm) + float(w @ w) * self._gram_scale)
@@ -129,29 +126,28 @@ class PowerContext:
                 raise ArithmeticError(
                     f"power-function routes disagree: schur={schur:.6e} "
                     f"bordered={bordered:.6e}")
-        return PowerEvaluation(mu, max(schur, 0.0), w, kmm, kml, schur < 0.0)
+        return PowerEvaluation(mu, max(schur, 0.0), w, kmm, kml, bordered, schur < 0.0)
 
     def bordered_power_squared(self, mu: Functional) -> float:
         """The bordered quadratic form route on its own."""
-        ev = self.power_squared(mu, cross_check=False)
-        return self._bordered_form(1.0, -ev.lagrange_values, ev.k_mu_mu, ev.k_mu_lambda)
+        return self.power_squared(mu, cross_check=False).bordered
 
     def lagrangian_norm_squared(self, ev: PowerEvaluation) -> float:
         """Squared norm of the add-one-in Lagrangian u_{mu,Lambda}, from the
         PowerEvaluation of mu that power_squared returned.
 
         The Lagrangian is the representer of mu - sum_j mu(u_j) lambda_j
-        scaled by 1/P^2; its norm comes from the bordered quadratic form
-        over the extended Gram, so the product with the Schur-route P^2
-        is a genuine two-route consistency check.
+        scaled by 1/P^2, so its squared norm is the bordered form at
+        (1, -w)/P^2, which is B/P^4.  The product with the Schur-route P^2
+        is then B/P^2, the two routes' ratio: a genuine two-route
+        consistency check.
         """
         if ev.excluded:
             raise ExcludedCase(
                 f"power vanishes at {ev.mu!r}; no bump function exists")
         if self.factor is None:
             return 1.0 / ev.k_mu_mu
-        c = np.concatenate(([1.0], -ev.lagrange_values)) / ev.power_squared
-        return max(self._bordered_form(c[0], c[1:], ev.k_mu_mu, ev.k_mu_lambda), 0.0)
+        return max(ev.bordered, 0.0) / ev.power_squared ** 2
 
 
 def power_squared(kernel, lam_set: FunctionalSet | None, mu: Functional) -> PowerEvaluation:
@@ -167,12 +163,16 @@ def tradeoff_report(kernel, lam_set: FunctionalSet | None, eval_set) -> list[Tra
     """One report per evaluation functional: power, Lagrangian norm, product.
     Excluded (reproduced) functionals are flagged, not fatal.
 
-    The rows' kernel values come in blocks of _REPORT_BLOCK rows, one diag
-    and one cross call per block, which spreads the kernel's per-call cost
-    (layout, Vandermonde) over the block and keeps a block's cross small.
-    Each row then gets its own Schur solve and bordered-form cross-check, as
-    power_squared does alone: a multi-right-hand-side solve rounds
-    differently from the per-row one, so it would move the powers' bits.
+    The rows come in blocks of _REPORT_BLOCK.  Each block takes one diag
+    and one cross call, which spreads the kernel's per-call cost (layout,
+    Vandermonde) over the block, and one multi-right-hand-side solve of the
+    factored Gram for the block's Lagrange values.  Each row then gets its
+    own Schur value and bordered-form cross-check from power_squared, and
+    its norm is read off that bordered value.  The block solve rounds
+    differently from a per-row one, so a row's power may differ from what
+    power_squared alone gives by up to the roundoff floor of its Schur
+    complement, n u (|K_mumu| + 2 |w|^T |k| + |w|^T |G| |w|) for n data
+    functionals and u = 2^-53.
     """
     ctx = PowerContext(kernel, lam_set)
     mus = list(eval_set)
@@ -180,10 +180,13 @@ def tradeoff_report(kernel, lam_set: FunctionalSet | None, eval_set) -> list[Tra
     for start in range(0, len(mus), _REPORT_BLOCK):
         block = mus[start:start + _REPORT_BLOCK]
         kmm = kernel.diag(block)
-        kml = (np.empty((len(block), 0)) if ctx.factor is None
-               else kernel.cross(block, lam_set))
-        for mu, row in zip(block, zip(kmm, kml)):
-            ev = ctx.power_squared(mu, kernel_row=row)
+        if ctx.factor is None:
+            kml = w = np.empty((len(block), 0))
+        else:
+            kml = kernel.cross(block, lam_set)
+            w = ctx.factor.solve(kml.T).T
+        for mu, kmm_i, kml_i, w_i in zip(block, kmm, kml, w):
+            ev = ctx.power_squared(mu, kernel_row=(kmm_i, kml_i), lagrange_values=w_i)
             norm = math.nan if ev.excluded else math.sqrt(ctx.lagrangian_norm_squared(ev))
             out.append(TradeoffReport(
                 mu=mu, power=math.sqrt(ev.power_squared), stability_norm=norm,

@@ -97,7 +97,7 @@ class SpdFactor:
         For a matrix b the residual b - A x is formed by ``matmul``, on the
         same BLAS thread pool as the two Cholesky solves around it, and
         equals numpy's b - A @ x bit for bit at one thread.  A vector b
-        keeps numpy's ``@``: the per-row report and identity solves that use
+        keeps numpy's ``@``: the per-row power and identity solves that use
         it are not contended, and scipy's gemv there made the reports
         slower."""
         b = np.asarray(b, dtype=float)

@@ -1,0 +1,61 @@
+"""Independent references for the kernel-recovery tests: the roundoff floor
+of a double-precision squared power, and a 50-digit mpmath power function.
+
+The floor of one evaluation functional mu against n data functionals, with
+u = 2^-53, kernel values k = K(mu, Lambda), Gram G and Lagrange values w, is
+
+    F = n u (|K_mumu| + 2 |w|^T |k| + |w|^T |G| |w|),
+
+the first-order error of P^2 = K_mumu - k^T w when the kernel values carry
+rounding errors of relative size u.  Two double routes to P^2 may differ by
+up to about F, and the true value may lie that far from either; where
+F > 1e-5 P^2 a row's power is unresolved in double precision.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+U = 2.0 ** -53
+
+
+def roundoff_floor(k_mu_mu: float, k_mu_lambda, lagrange_values, gram) -> float:
+    """The floor F above for one row."""
+    aw = np.abs(lagrange_values)
+    return len(aw) * U * (abs(k_mu_mu) + 2.0 * float(aw @ np.abs(k_mu_lambda))
+                          + float(aw @ np.abs(gram) @ aw))
+
+
+class MaternPointOracle:
+    """The Matern point kernel K(x, y) = 2^(1-nu)/Gamma(nu) r^nu K_nu(r),
+    r = |x - y|/c, nu = m - d/2, at dps digits, and the power function
+    from it.  Points are tuples of doubles, taken exactly; K(x, x) = 1."""
+
+    def __init__(self, m: int, d: int, c: float, dps: int = 50):
+        import mpmath
+
+        self.mp = mpmath.mp.clone()
+        self.mp.dps = dps
+        self.nu = self.mp.mpf(m) - self.mp.mpf(d) / 2
+        self.norm = self.mp.mpf(2) ** (1 - self.nu) / self.mp.gamma(self.nu)
+        self.c = self.mp.mpf(c)
+
+    def kernel(self, x, y):
+        mp = self.mp
+        r = mp.sqrt(mp.fsum((mp.mpf(a) - mp.mpf(b)) ** 2 for a, b in zip(x, y))) / self.c
+        return mp.one if r == 0 else self.norm * r ** self.nu * mp.besselk(self.nu, r)
+
+    def power_squared(self, sites, rows) -> list:
+        """P^2(x) = K(x, x) - k^T G^-1 k for each row point x against the
+        site points, with G^-1 k by LU at the oracle's precision."""
+        mp = self.mp
+        n = len(sites)
+        gram = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(i, n):
+                gram[i, j] = gram[j, i] = self.kernel(sites[i], sites[j])
+        out = []
+        for x in rows:
+            k = mp.matrix([self.kernel(x, s) for s in sites])
+            w = mp.lu_solve(gram, k)
+            out.append(self.kernel(x, x) - mp.fsum(k[i] * w[i] for i in range(n)))
+        return out
