@@ -30,7 +30,7 @@ from .errors import TradeoffError
 from .functionals import FunctionalSet, LaplacianEval, PointEval, functional_from_json
 from .greedy import p_greedy
 from .kernels import MaternSobolevKernel, gram, kernel_from_spec
-from .report import reports_to_csv
+from .report import FLAG_EXCLUDED, FLAG_UNRESOLVED, reports_to_csv
 from .unsymmetric import PoissonSetup, build_kansa, unit_square_perimeter
 
 
@@ -451,8 +451,9 @@ def run_audit(config: ExperimentConfig) -> dict:
     eval_set = [functional_from_json(d) for d in spec["eval"]]
     reports = kernel_recovery.tradeoff_report(kernel, lam_set, eval_set)
     _write(config.out_dir / "audit_report.csv", reports_to_csv(reports))
-    n_excl = sum(r.excluded for r in reports)
-    return {"evaluations": len(reports), "excluded": n_excl}
+    flags = [r.flag for r in reports]
+    return {"evaluations": len(reports), "excluded": flags.count(FLAG_EXCLUDED),
+            "unresolved": flags.count(FLAG_UNRESOLVED)}
 
 
 # ---------------------------------------------------------------------------

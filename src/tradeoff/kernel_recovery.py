@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -12,10 +13,21 @@ from . import linalg
 from .errors import ExcludedCase
 from .functionals import Functional, FunctionalSet
 from .kernels import gram
-from .report import FLAG_EXCLUDED, FLAG_OK, TradeoffReport
+from .report import FLAG_EXCLUDED, FLAG_OK, FLAG_UNRESOLVED, TradeoffReport
 
 # mu counts as reproduced (excluded case) below this fraction of K_mu_mu
 EXCLUDED_RTOL = 1e-12
+
+# a report row whose roundoff floor F exceeds this fraction of its P^2 is
+# flagged unresolved.  Fixed once from the 50-digit oracle and the audit
+# bench problems, not per workload: where F < 1e-5 P^2 the double P^2 lies
+# within 1e-4 of the 50-digit value, and every audit row that failed the
+# 1e-5 product check (seeds 0, 1, 3, 61, 101) had F >= 1.1e-3 P^2, ten
+# times this threshold
+UNRESOLVED_RTOL = 1e-4
+
+# unit roundoff of a double
+_U = 2.0 ** -53
 
 # the two power-function routes must agree this closely, with an absolute
 # floor so roundoff near the excluded case cannot trip the check
@@ -75,6 +87,30 @@ class PowerContext:
     @property
     def jitter(self) -> float:
         return self.factor.jitter if self.factor is not None else 0.0
+
+    @cached_property
+    def _abs_gram(self) -> np.ndarray:
+        return np.abs(self.gram)
+
+    def roundoff_floor(self, kmm: np.ndarray, kml: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Roundoff floor of each squared power of a batch, from its
+        K(mu, mu), K(mu, Lambda) and Lagrange values (one row each):
+
+            F = n u (|K_mumu| + 2 |w|^T |k| + |w|^T |G| |w|) + jitter |w|^2
+
+        for n data functionals and u = 2^-53.  The first term is the
+        first-order error of P^2 = K_mumu - k^T w when the kernel values
+        carry rounding errors of relative size u; the second is the shift a
+        jittered factorization makes.  |W| |G| is one product for the batch.
+        """
+        n = len(self.gram)
+        if n == 0:
+            return np.zeros(len(kmm))
+        aw = np.abs(w)
+        quad = np.einsum("ij,ij->i", linalg.matmul(aw, self._abs_gram), aw)
+        cross = np.einsum("ij,ij->i", aw, np.abs(kml))
+        return (n * _U * (np.abs(kmm) + 2.0 * cross + quad)
+                + self.jitter * np.einsum("ij,ij->i", w, w))
 
     def power_batch(self, mus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Schur-complement powers for a batch of evaluation functionals.
@@ -161,18 +197,20 @@ def lagrangian_norm_squared(kernel, lam_set: FunctionalSet | None, mu: Functiona
 
 def tradeoff_report(kernel, lam_set: FunctionalSet | None, eval_set) -> list[TradeoffReport]:
     """One report per evaluation functional: power, Lagrangian norm, product.
-    Excluded (reproduced) functionals are flagged, not fatal.
+    Excluded (reproduced) functionals are flagged, not fatal, and so are
+    unresolved ones, whose power lies below its roundoff floor F
+    (PowerContext.roundoff_floor): F > UNRESOLVED_RTOL * P^2.  An
+    unresolved row keeps its power, norm and product, but double precision
+    does not decide them.
 
     The rows come in blocks of _REPORT_BLOCK.  Each block takes one diag
     and one cross call, which spreads the kernel's per-call cost (layout,
-    Vandermonde) over the block, and one multi-right-hand-side solve of the
-    factored Gram for the block's Lagrange values.  Each row then gets its
-    own Schur value and bordered-form cross-check from power_squared, and
-    its norm is read off that bordered value.  The block solve rounds
-    differently from a per-row one, so a row's power may differ from what
-    power_squared alone gives by up to the roundoff floor of its Schur
-    complement, n u (|K_mumu| + 2 |w|^T |k| + |w|^T |G| |w|) for n data
-    functionals and u = 2^-53.
+    Vandermonde) over the block, one multi-right-hand-side solve of the
+    factored Gram for the block's Lagrange values, and one product for its
+    floors.  Each row then gets its own Schur value and bordered-form
+    cross-check from power_squared, and its norm is read off that bordered
+    value.  The block solve rounds differently from a per-row one, so a
+    row's power may differ from what power_squared alone gives by up to F.
     """
     ctx = PowerContext(kernel, lam_set)
     mus = list(eval_set)
@@ -185,10 +223,15 @@ def tradeoff_report(kernel, lam_set: FunctionalSet | None, eval_set) -> list[Tra
         else:
             kml = kernel.cross(block, lam_set)
             w = ctx.factor.solve(kml.T).T
-        for mu, kmm_i, kml_i, w_i in zip(block, kmm, kml, w):
+        floor = ctx.roundoff_floor(kmm, kml, w)
+        for mu, kmm_i, kml_i, w_i, floor_i in zip(block, kmm, kml, w, floor):
             ev = ctx.power_squared(mu, kernel_row=(kmm_i, kml_i), lagrange_values=w_i)
-            norm = math.nan if ev.excluded else math.sqrt(ctx.lagrangian_norm_squared(ev))
-            out.append(TradeoffReport(
-                mu=mu, power=math.sqrt(ev.power_squared), stability_norm=norm,
-                flag=FLAG_EXCLUDED if ev.excluded else FLAG_OK))
+            if ev.excluded:
+                norm, flag = math.nan, FLAG_EXCLUDED
+            else:
+                norm = math.sqrt(ctx.lagrangian_norm_squared(ev))
+                flag = (FLAG_UNRESOLVED if floor_i > UNRESOLVED_RTOL * ev.power_squared
+                        else FLAG_OK)
+            out.append(TradeoffReport(mu=mu, power=math.sqrt(ev.power_squared),
+                                      stability_norm=norm, flag=flag))
     return out

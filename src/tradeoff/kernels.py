@@ -20,6 +20,18 @@ u^p g_a(|u|), differentiated termwise.  The radial Laplacian in d dimensions
 maps s^p g_a to
 
     p(p+d-2) s^(p-2) g_a  -  (2p+d) s^p g_{a-1}  +  s^(p+2) g_{a-2}.
+
+The Bessel values behind a block's terms are computed once per block and
+shared by its terms.  In 2-d every order |a| is an integer (nu = m - 1), and
+K_0 .. K_b follow from one ``k0`` and one ``k1`` call by the upward
+recurrence K_{b+1}(s) = K_{b-1}(s) + (2b/s) K_b(s) (DLMF 10.29.1), which is
+stable upward for K.  For orders 0 .. 7 on s in [1e-6, 700], where K_0(s)
+is a normal double, it stays within 16 u of 50-digit values (at most 9 u
+measured; kv's own error there reaches 14 u, and kv returns 0 at
+s = 700).  In 1-d the orders are half integers, and each keeps its own
+``kv`` call: the closed form e^-s * polynomial would move the 1-d Grams in
+their last bits, and some 1-d identity checks sit at the roundoff floor,
+where such a move turns a pass into a fail.
 """
 from __future__ import annotations
 
@@ -27,6 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as _gamma
+from scipy.special import k0 as _k0
+from scipy.special import k1 as _k1
 from scipy.special import kv as _kv
 
 from .errors import UnsupportedPair
@@ -37,11 +51,40 @@ from .weights import weight_array
 _SMALL_S = 1e-6
 
 
-def _g_pow(p: int, a: float, s: np.ndarray) -> np.ndarray:
+def _bessel_ladder(orders, s: np.ndarray) -> dict:
+    """{b: K_b(s)} for each integer order b in orders, s > 0: one k0 and one
+    k1 call, then the upward recurrence K_{b+1} = K_{b-1} + (2b/s) K_b up to
+    the largest order, keeping only the orders asked for."""
+    orders = {int(b) for b in orders}
+    prev, cur = _k0(s), _k1(s)
+    out = {b: k for b, k in ((0, prev), (1, cur)) if b in orders}
+    for b in range(1, max(orders)):
+        prev, cur = cur, prev + (2.0 * b / s) * cur
+        if b + 1 in orders:
+            out[b + 1] = cur
+    return out
+
+
+def _bessel(orders, s: np.ndarray) -> dict:
+    """{b: K_b(s)} for each order b in orders, s > 0: the integer orders
+    from one _bessel_ladder, the half-integer ones by kv (see the module
+    docstring)."""
+    whole = [b for b in orders if float(b).is_integer()]
+    out = _bessel_ladder(whole, s) if whole else {}
+    out.update((b, _kv(b, s)) for b in orders if b not in out)
+    return out
+
+
+def _g_pow(p: int, a: float, s: np.ndarray, k_b: np.ndarray | None = None) -> np.ndarray:
     """Evaluate |u|^p g_a(|u|) = s^(p+a) K_|a|(s) elementwise, s >= 0.
 
+    k_b holds K_|a| at the entries s >= _SMALL_S, in their order, when the
+    caller has them: _radial computes a block's Bessel values once for all
+    its terms.  By default they come from _bessel, so an integer order
+    takes the K_0/K_1 ladder and a half-integer one kv.
+
     Below s = _SMALL_S the leading term of K_b(s) as s -> 0 replaces the
-    Bessel call: 2^(b-1) Gamma(b) s^(q-b) for b > 0 (the constant limit
+    Bessel value: 2^(b-1) Gamma(b) s^(q-b) for b > 0 (the constant limit
     when q = b), and -s^q (ln(s/2) + gamma) for b = 0, 0 at s = 0.  Every
     b here is a multiple of 1/2, and the next term is O(s^2) smaller, or
     O(s^2 ln s) for b = 1, except for b = 1/2, where it is O(s); that case
@@ -55,7 +98,9 @@ def _g_pow(p: int, a: float, s: np.ndarray) -> np.ndarray:
     out = np.empty_like(s)
     small = s < _SMALL_S
     ns = s[~small]
-    out[~small] = ns ** q * _kv(b, ns)
+    if k_b is None:
+        k_b = _bessel([b], ns)[b]
+    out[~small] = ns ** q * k_b
     if small.any():
         ss = s[small]
         if b > 0.0:
@@ -172,9 +217,11 @@ class MaternSobolevKernel:
         n = n_a + n_b
         terms = self._terms(n)
         s = np.abs(u)
+        # each Bessel order once per block, shared by the terms that use it
+        bessel = _bessel({abs(a) for (_, a), _ in terms}, s[s >= _SMALL_S])
         acc = np.zeros_like(s)
         for (p, a), coeff in terms:
-            val = _g_pow(p, a, s)
+            val = _g_pow(p, a, s, bessel[abs(a)])
             if p % 2:
                 val = val * np.sign(u)
             acc += coeff * val

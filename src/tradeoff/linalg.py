@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import ddot, dgemm, dgemv
+from scipy.linalg.lapack import dpotri
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -111,7 +112,14 @@ class SpdFactor:
         return x + scipy.linalg.cho_solve(self.cho, r, check_finite=False)
 
     def inverse_diagonal(self) -> np.ndarray:
-        return np.diag(scipy.linalg.cho_solve(self.cho, np.eye(self.n)))
+        """Diagonal of (A + jitter*I)^-1, formed from the stored Cholesky
+        factor by LAPACK potri (about n^3/3 flops, against n^3 for solving
+        against the identity)."""
+        c, lower = self.cho
+        inv, info = dpotri(c, lower=lower)
+        if info:
+            raise NotPositiveDefinite(f"potri failed with info {info}")
+        return np.diag(inv).copy()
 
 
 def factor_spd(a) -> SpdFactor:

@@ -7,6 +7,9 @@ from .functionals import Functional
 
 FLAG_OK = "ok"
 FLAG_EXCLUDED = "excluded"
+# the power is below its roundoff floor: reported, but not resolved in
+# double precision (see kernel_recovery.UNRESOLVED_RTOL)
+FLAG_UNRESOLVED = "unresolved"
 
 CSV_HEADER = "mu_kind,mu_x,mu_y,power,stability_norm,product,flag"
 

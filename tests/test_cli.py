@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from collections import Counter
 from pathlib import Path
@@ -240,6 +241,27 @@ def test_cli_main_audit(tmp_path):
     assert lines[1].endswith("ok") and lines[2].endswith("excluded")
     prod = float(lines[1].split(",")[5])
     assert prod == pytest.approx(1.0, rel=1e-6)
+
+
+def test_cli_main_audit_counts_unresolved_rows(tmp_path, capsys):
+    # a row 3e-5 from a site has F > UNRESOLVED_RTOL * P^2: it keeps its
+    # numbers and is flagged, and the summary counts it
+    spec = {
+        "kernel": {"family": "matern", "m": 5, "d": 1, "c": 1.0},
+        "data": [{"kind": "point", "x": [0.0]}, {"kind": "point", "x": [0.5]}],
+        "eval": [{"kind": "point", "x": [0.25]}, {"kind": "point", "x": [0.0]},
+                 {"kind": "point", "x": [0.5 - 3e-5]}],
+    }
+    cfg_file = tmp_path / "audit.json"
+    cfg_file.write_text(json.dumps(spec))
+    rc = main(["audit", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "evaluations": 3, "excluded": 1, "unresolved": 1}
+    rows = (tmp_path / "out/audit_report.csv").read_text().splitlines()[1:]
+    assert [r.rsplit(",", 1)[1] for r in rows] == ["ok", "excluded", "unresolved"]
+    power, norm, product = map(float, rows[2].split(",")[3:6])
+    assert 0.0 < power and math.isfinite(norm) and product == pytest.approx(1.0, rel=1e-3)
 
 
 def test_cli_main_identities_exit_codes(tmp_path):

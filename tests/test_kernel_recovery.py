@@ -18,7 +18,7 @@ from tradeoff.kernel_recovery import (
     tradeoff_report,
 )
 from tradeoff.kernels import MaternSobolevKernel
-from tradeoff.report import FLAG_EXCLUDED, FLAG_OK, TradeoffReport
+from tradeoff.report import FLAG_EXCLUDED, FLAG_OK, FLAG_UNRESOLVED, TradeoffReport
 from tradeoff import kernel_recovery, linalg
 
 
@@ -152,14 +152,21 @@ def _report_bits(reports):
 def _row_by_row_report(kernel, lam_set, mus):
     """The report as plain per-row power_squared and lagrangian_norm_squared
     calls, each row evaluating its own kernel values and solving for its own
-    Lagrange values; returns the reports and the rows' evaluations."""
+    Lagrange values, with each row's floor from tests/oracle.py; returns the
+    reports and the rows' evaluations."""
     ctx = PowerContext(kernel, lam_set)
     out, evs = [], []
     for mu in mus:
         ev = ctx.power_squared(mu)
-        norm = math.nan if ev.excluded else math.sqrt(ctx.lagrangian_norm_squared(ev))
-        out.append(TradeoffReport(mu, math.sqrt(ev.power_squared), norm,
-                                  FLAG_EXCLUDED if ev.excluded else FLAG_OK))
+        if ev.excluded:
+            norm, flag = math.nan, FLAG_EXCLUDED
+        else:
+            norm = math.sqrt(ctx.lagrangian_norm_squared(ev))
+            floor = oracle.roundoff_floor(ev.k_mu_mu, ev.k_mu_lambda,
+                                          ev.lagrange_values, ctx.gram)
+            flag = (FLAG_UNRESOLVED if floor > kernel_recovery.UNRESOLVED_RTOL
+                    * ev.power_squared else FLAG_OK)
+        out.append(TradeoffReport(mu, math.sqrt(ev.power_squared), norm, flag))
         evs.append(ev)
     return out, evs
 
@@ -264,24 +271,75 @@ def test_permuted_rows_keep_their_powers_within_the_floor(order):
 
 
 def test_report_powers_within_the_floor_of_a_50_digit_oracle():
-    # 2-d Matern point data against mpmath at 50 digits; three rows lie
+    # 2-d Matern point data against mpmath at 50 digits; six rows lie
     # within 1e-3 of a site, where the power can fall below its floor
     pytest.importorskip("mpmath")
     rng = np.random.default_rng(11)
     sites = rng.uniform(0.0, 1.0, size=(12, 2))
     rows = rng.uniform(0.0, 1.0, size=(10, 2))
     angle = rng.uniform(0.0, 2.0 * np.pi, 3)
-    rows[:3] = sites[:3] + rng.uniform(1e-4, 1e-3, 3)[:, None] * np.column_stack(
-        [np.cos(angle), np.sin(angle)])
+    direction = np.column_stack([np.cos(angle), np.sin(angle)])
+    rows[:3] = sites[:3] + rng.uniform(1e-4, 1e-3, 3)[:, None] * direction
+    # three more rows 1e-5 to 1e-4 from a site: the closest is unresolved
+    rows = np.vstack([rows, sites[3:6] + np.array([[1e-5], [3e-5], [1e-4]]) * direction])
     kernel = MaternSobolevKernel(5, 2, 0.3)
     lam = FunctionalSet([PointEval(tuple(p)) for p in sites])
-    _, evs = _block_evaluations(kernel, lam, [PointEval(tuple(p)) for p in rows])
+    reports, evs = _block_evaluations(kernel, lam, [PointEval(tuple(p)) for p in rows])
     exact = oracle.MaternPointOracle(5, 2, 0.3).power_squared(sites.tolist(), rows.tolist())
     floors = _floors(kernel, lam, evs)
     for ev, p2, floor in zip(evs, exact, floors):
         assert abs(ev.power_squared - p2) <= floor, (ev.mu, ev.power_squared, p2, floor)
     unresolved = [floor > 1e-5 * p2 for p2, floor in zip(exact, floors)]
     assert any(unresolved) and not all(unresolved)
+    # the rows the report resolves hold 1e-5 against 50 digits, and the
+    # ones it flags unresolved are below their floor
+    flags = [r.flag for r in reports]
+    assert FLAG_UNRESOLVED in flags and FLAG_OK in flags
+    for r, ev, p2, floor in zip(reports, evs, exact, floors):
+        if r.flag == FLAG_OK:
+            assert abs(ev.power_squared - p2) <= 1e-5 * p2, (ev.mu, ev.power_squared, p2)
+        else:
+            assert r.flag == FLAG_UNRESOLVED and floor > kernel_recovery.UNRESOLVED_RTOL * p2
+
+
+@pytest.mark.parametrize("problem", [_near_site_matern, _hermite_1d])
+def test_report_floor_equals_the_oracle_floor(problem):
+    # the library's blocked floor (one |W| |G| product per batch) against
+    # the row-by-row formula of tests/oracle.py, and the flags it decides
+    kernel, lam, mus = problem()
+    reports, evs = _block_evaluations(kernel, lam, mus)
+    ctx = PowerContext(kernel, lam)
+    kmm = np.array([ev.k_mu_mu for ev in evs])
+    kml = np.array([ev.k_mu_lambda for ev in evs])
+    w = np.array([ev.lagrange_values for ev in evs])
+    got = ctx.roundoff_floor(kmm, kml, w)
+    ref = _floors(kernel, lam, evs)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+    for r, ev, floor in zip(reports, evs, ref):
+        if not ev.excluded:
+            unresolved = floor > kernel_recovery.UNRESOLVED_RTOL * ev.power_squared
+            assert r.flag == (FLAG_UNRESOLVED if unresolved else FLAG_OK), r.mu
+    flags = Counter(r.flag for r in reports)
+    assert flags[FLAG_UNRESOLVED] and flags[FLAG_OK] > flags[FLAG_UNRESOLVED]
+
+
+def test_roundoff_floor_adds_the_jitter_shift():
+    # two sites 1e-9 apart make the Gram singular in double precision, so the
+    # factorization is jittered; the floor then also counts the shift
+    # jitter |w|^2
+    k = MaternSobolevKernel(5, 2, 0.7)
+    lam = FunctionalSet([PointEval(p) for p in [(0.0, 0.0), (0.5, 0.1), (0.5, 0.1 + 1e-9)]])
+    ctx = PowerContext(k, lam)
+    assert ctx.jitter > 0.0
+    mus = [PointEval((0.2, 0.3)), PointEval((0.9, 0.4))]
+    kmm, kml = k.diag(mus), k.cross(mus, lam)
+    w = ctx.factor.solve(kml.T).T
+    got = ctx.roundoff_floor(kmm, kml, w)
+    for i in range(len(mus)):
+        ref = (oracle.roundoff_floor(kmm[i], kml[i], w[i], ctx.gram)
+               + ctx.jitter * float(w[i] @ w[i]))
+        assert got[i] == pytest.approx(ref, rel=1e-12)
+        assert got[i] > 2.0 * oracle.roundoff_floor(kmm[i], kml[i], w[i], ctx.gram)
 
 
 def test_leave_one_out_equality():

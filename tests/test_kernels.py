@@ -1,6 +1,8 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
-from scipy.special import gamma, kv
+from scipy.special import gamma, k0, k1, kv
 
 from tradeoff import kernels
 from tradeoff.errors import UnsupportedPair
@@ -378,26 +380,89 @@ def test_cross_equals_full_block_evaluation_bit_for_bit(case):
     _assert_bitwise_equal(k.cross(list(fa), list(fb)), ref)
 
 
-def test_symmetric_grid_gram_calls_kv_once_per_distinct_distance(monkeypatch):
+def _count_bessel_calls(monkeypatch):
+    """Record (name, argument count) of every k0, k1, kv and ladder call."""
+    calls = []
+
+    def counting(name, f):
+        def wrapped(*args):
+            calls.append((name, np.size(args[-1])))
+            return f(*args)
+        return wrapped
+
+    for name, f in [("_k0", k0), ("_k1", k1), ("_kv", kv),
+                    ("_bessel_ladder", kernels._bessel_ladder)]:
+        monkeypatch.setattr(kernels, name, counting(name, f))
+    return calls
+
+
+def test_symmetric_grid_gram_calls_k0_and_k1_once_per_distinct_distance(monkeypatch):
     k = MaternSobolevKernel(5, 2, 1.0)
     h = np.arange(8) / 7.0
     fs = FunctionalSet([PointEval((x, y)) for x in h for y in h])
-    sizes = []
-
-    def counting_kv(v, z):
-        sizes.append(np.size(z))
-        return kv(v, z)
-
-    monkeypatch.setattr(kernels, "_kv", counting_kv)
+    calls = _count_bessel_calls(monkeypatch)
     g = gram(k, fs)
     pts = np.array([f.site for f in fs])
     n_distinct = np.unique(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))).size
     n = len(fs)
-    # one _kv call per term of the kernel's term stack, each on at most the
-    # distinct distances: far fewer than even the upper triangle's entries
-    assert sizes and max(sizes) <= n_distinct < n * (n + 1) // 2
+    # the one point-point block: one ladder, so one k0 and one k1 call, each
+    # on at most the distinct distances (far fewer than even the upper
+    # triangle's entries), and no kv call for the integer order nu = 4
+    assert sorted(name for name, _ in calls) == ["_bessel_ladder", "_k0", "_k1"]
+    assert max(size for _, size in calls) <= n_distinct < n * (n + 1) // 2
     monkeypatch.undo()
     _assert_bitwise_equal(g, kernels.mirror_upper(_cross_without_dedup(k, fs, fs)))
+
+
+def test_each_2d_block_makes_one_ladder_and_1d_blocks_keep_kv(monkeypatch):
+    rng = np.random.default_rng(13)
+    pts = rng.uniform(0, 1, size=(7, 2))
+    laps = [LaplacianEval(tuple(p)) for p in pts]
+    mixed = laps + [PointEval(tuple(p)) for p in pts]
+    calls = _count_bessel_calls(monkeypatch)
+    # a Laplacian-Laplacian block has terms of orders 2, 1 and 0 (m = 5):
+    # one ladder serves all three
+    MaternSobolevKernel(5, 2, 0.7).cross(laps, laps)
+    assert sorted(name for name, _ in calls) == ["_bessel_ladder", "_k0", "_k1"]
+    calls.clear()
+    # four order blocks, one ladder each
+    MaternSobolevKernel(5, 2, 0.7).cross(mixed, mixed)
+    assert sorted(name for name, _ in calls) == sorted(
+        ["_bessel_ladder", "_k0", "_k1"] * 4)
+    calls.clear()
+    # 1-d orders are half-integers: one kv call per order of the block
+    MaternSobolevKernel(5, 1, 0.3).cross([DerivEval(0.1, 2)], [DerivEval(0.7, 2)])
+    assert [name for name, _ in calls] == ["_kv"] * 3
+
+
+# 50-digit K_0 .. K_7 at s across [1e-6, 700]; K_0(700) is still a normal
+# double (about 4.7e-306)
+_LADDER_S = np.geomspace(1e-6, 700.0, 25)
+
+
+@lru_cache(maxsize=None)
+def _besselk_mp(b: int) -> tuple:
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    return tuple(mp.besselk(b, mp.mpf(float(s))) for s in _LADDER_S)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+def test_bessel_ladder_against_mpmath(m):
+    # orders 0 .. m - 1, every order a 2-d kernel of Sobolev order m uses;
+    # k0 alone is up to 7 u off here, and order 7 at most 9 u
+    pytest.importorskip("mpmath")
+    u = 2.0 ** -53
+    ladder = kernels._bessel_ladder(range(m), _LADDER_S)
+    assert sorted(ladder) == list(range(m))
+    for b in range(m):
+        for s, got, ref in zip(_LADDER_S, ladder[b], _besselk_mp(b)):
+            assert abs(got / float(ref) - 1.0) <= 16 * u, (b, s, got)
+    # the ladder keeps only the orders asked for, with the same values
+    top = kernels._bessel_ladder([m - 1], _LADDER_S)
+    assert list(top) == [m - 1]
+    _assert_bitwise_equal(top[m - 1], ladder[m - 1])
 
 
 def test_a_sets_layout_is_computed_once(monkeypatch):

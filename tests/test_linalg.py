@@ -47,6 +47,27 @@ def test_jitter_escalation_recorded():
     assert f.jitter > 0.0
 
 
+@pytest.mark.parametrize("n,jittered", [(60, False), (200, False), (40, True)])
+def test_inverse_diagonal_from_the_factor_within_the_conditioning_bound(n, jittered):
+    # potri on the stored factor against solving the factored system for
+    # the identity: both are backward stable, so their diagonals agree to
+    # the first-order bound n u cond(A) relative
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    a = (q * np.geomspace(1.0, 1e-8, n)) @ q.T
+    if jittered:
+        a = (q * np.r_[np.ones(n - 1), 0.0]) @ q.T
+    a = (a + a.T) / 2.0
+    f = factor_spd(a)
+    assert (f.jitter > 0.0) == jittered
+    ref = np.diag(scipy.linalg.cho_solve(f.cho, np.eye(n)))
+    shifted = a + f.jitter * np.eye(n)
+    bound = n * 2.0 ** -53 * np.linalg.cond(shifted)
+    got = f.inverse_diagonal()
+    assert got.shape == (n,) and np.all(got > 0.0)
+    assert np.max(np.abs(got - ref) / ref) <= bound
+
+
 def test_not_positive_definite():
     with pytest.raises(NotPositiveDefinite):
         factor_spd(np.array([[1.0, 0.0], [0.0, -5.0]]))
