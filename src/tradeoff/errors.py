@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
+
+def at_first_row(bad) -> str:
+    """' (row i)' naming the first True entry of a batch mask in an error
+    message (in C order when the batch has several axes); '' when the mask
+    is a single case."""
+    bad = np.asarray(bad)
+    return f" (row {np.flatnonzero(bad)[0]})" if bad.ndim else ""
+
 
 class TradeoffError(Exception):
     """Base class for all package errors."""

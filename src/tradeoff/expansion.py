@@ -1,6 +1,11 @@
 """Recovery methods on spaces with weighted coefficient norms or classical
 seminorms: polynomial interpolation, connect-the-dots, Taylor data,
-orthogonal series, and weighted Chebyshev expansions."""
+orthogonal series, and weighted Chebyshev expansions.
+
+The closed forms (poly_*, ctd_*, taylor_*, ortho_power_and_bump) take one
+case, returning floats, or a batch of cases as arrays, returning arrays that
+equal the single values bit for bit; an error in a batch names its first
+row at fault."""
 from __future__ import annotations
 
 import math
@@ -17,6 +22,7 @@ from .errors import (
     OutOfCell,
     RankDeficientConstraints,
     SingularVandermonde,
+    at_first_row,
 )
 from .functionals import FunctionalSet, apply_to_coeffs, vandermonde
 from .weights import WeightRule, parse_weight_rule, weight_array
@@ -49,30 +55,53 @@ class ExpansionFunction:
         return np.polynomial.chebyshev.chebval(x, self.coeffs)
 
 
+def _scalar_or_array(a: np.ndarray):
+    """A single case's value as a float, a batch's as its array."""
+    return float(a) if a.ndim == 0 else a
+
+
 # ---------------------------------------------------------------------------
 # polynomial interpolation under the sup-norm of the (n+1)-st derivative
 
-def poly_power(nodes, x: float) -> float:
+def _poly_args(nodes, x) -> tuple[np.ndarray, np.ndarray]:
+    """nodes as a C-ordered float array with one node set along its last
+    axis, and x as a float array over the batch axes; raises DuplicateNodes
+    naming the first node set with a repeated node."""
+    nodes = np.ascontiguousarray(np.atleast_1d(np.asarray(nodes, dtype=float)))
+    s = np.sort(nodes, axis=-1)
+    # NaNs sort last, so a NaN before the last place means two of them
+    repeated = ((s[..., 1:] == s[..., :-1]) | np.isnan(s[..., :-1])).any(-1)
+    if repeated.any():
+        raise DuplicateNodes("interpolation nodes must be distinct" + at_first_row(repeated))
+    return nodes, np.asarray(x, dtype=float, order="C")
+
+
+def poly_power(nodes, x):
     """Add-one-in power of polynomial interpolation:
-    (1/(n+1)!) * prod_j |x - x_j|."""
-    nodes = np.asarray(nodes, dtype=float)
-    if len(np.unique(nodes)) != nodes.size:
-        raise DuplicateNodes("interpolation nodes must be distinct")
-    n = nodes.size - 1
-    return float(np.prod(np.abs(x - nodes)) / math.factorial(n + 1))
+    (1/(n+1)!) * prod_j |x - x_j|.
+
+    nodes holds one node set of n+1 nodes along its last axis and x one
+    point per node set; the batch axes broadcast.  Scalar x with one node
+    set gives a float, a batch an array, elementwise the single values bit
+    for bit: each product runs over exactly its own row."""
+    nodes, x = _poly_args(nodes, x)
+    prod = np.prod(np.abs(x[..., None] - nodes), axis=-1)
+    return _scalar_or_array(prod / math.factorial(nodes.shape[-1]))
 
 
-def poly_lagrangian_seminorm(nodes, x: float) -> float:
+def poly_lagrangian_seminorm(nodes, x):
     """Sup-norm of the (n+1)-st derivative of the add-one-in Lagrangian:
-    (n+1)! * prod_j |x - x_j|^-1.  Its product with poly_power is one."""
-    nodes = np.asarray(nodes, dtype=float)
-    if len(np.unique(nodes)) != nodes.size:
-        raise DuplicateNodes("interpolation nodes must be distinct")
-    diffs = np.abs(x - nodes)
-    if np.any(diffs == 0.0):
-        raise NodeCoincidence(f"x = {x} coincides with a node")
-    n = nodes.size - 1
-    return float(math.factorial(n + 1) / np.prod(diffs))
+    (n+1)! * prod_j |x - x_j|^-1.  Its product with poly_power is one.
+
+    Takes batches as poly_power does; raises NodeCoincidence naming the
+    first x that hits a node of its set."""
+    nodes, x = _poly_args(nodes, x)
+    diffs = np.abs(x[..., None] - nodes)
+    hit = (diffs == 0.0).any(-1)
+    if hit.any():
+        x_at = np.broadcast_to(x, hit.shape)[hit].flat[0]
+        raise NodeCoincidence(f"x = {x_at} coincides with a node" + at_first_row(hit))
+    return _scalar_or_array(math.factorial(nodes.shape[-1]) / np.prod(diffs, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +118,6 @@ def _cell(xk, xk1, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         i = np.flatnonzero(~inside)[0]
         raise OutOfCell(f"x = {x.flat[i]} is not inside ({xk.flat[i]}, {xk1.flat[i]})")
     return xk, xk1, x
-
-
-def _scalar_or_array(a: np.ndarray):
-    return float(a) if a.ndim == 0 else a
 
 
 def ctd_power(xk, xk1, x):
@@ -120,18 +145,34 @@ def ctd_lagrangian_norm(xk, xk1, x):
 _TAYLOR_PROBE = 200
 
 
-def taylor_power(rho, k: int) -> float:
+def _taylor_terms(rho, k) -> tuple[WeightRule, np.ndarray, np.ndarray]:
+    """rho_k and k! as float arrays shaped like k, each evaluated once per
+    distinct k by the scalar rule and math.factorial; raises BadWeights
+    naming the first k whose rho_k is not positive and finite."""
+    rule = parse_weight_rule(rho)
+    k = np.asarray(k)
+    ks, inverse = np.unique(k, return_inverse=True)
+    ks, inverse = ks.tolist(), inverse.reshape(k.shape)
+    rk = np.array([float(rule(j)) for j in ks])[inverse]
+    bad = (rk <= 0) | ~np.isfinite(rk)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise BadWeights(f"rho_{k.flat[i]} = {rk.flat[i]} must be positive"
+                         + at_first_row(bad))
+    return rule, rk, np.array([float(math.factorial(j)) for j in ks])[inverse]
+
+
+def taylor_power(rho, k):
     """Leave-last-out power for Taylor data: sqrt(rho_k) / k!.
 
     rho is a weight rule: a rule string, a positive number or a WeightRule.
-    Warns when the partial sums of rho_j / (j!)^2 look divergent up to the
-    probe horizon _TAYLOR_PROBE; the constraint is analytic, so a finite
-    check can only warn, never prove.
+    k is an integer (giving a float) or an integer array (giving an array,
+    elementwise the scalar values bit for bit).  Warns when the partial sums
+    of rho_j / (j!)^2 look divergent up to the probe horizon _TAYLOR_PROBE;
+    the probe depends on the rule alone, so it runs once per call.  The
+    constraint is analytic, so a finite check can only warn, never prove.
     """
-    rule = parse_weight_rule(rho)
-    rk = float(rule(k))
-    if rk <= 0 or not np.isfinite(rk):
-        raise BadWeights(f"rho_{k} = {rk} must be positive")
+    rule, rk, fact = _taylor_terms(rho, k)
     log_terms = np.array(
         [rule.log(j) - 2.0 * math.lgamma(j + 1)
          for j in range(_TAYLOR_PROBE - 10, _TAYLOR_PROBE)])
@@ -139,16 +180,14 @@ def taylor_power(rho, k: int) -> float:
         warnings.warn(
             "weight sequence rho_j/(j!)^2 looks divergent up to the probe "
             "horizon; the Taylor space may be ill-defined", stacklevel=2)
-    return math.sqrt(rk) / math.factorial(k)
+    return _scalar_or_array(np.sqrt(rk) / fact)
 
 
-def taylor_lagrangian_norm(rho, k: int) -> float:
-    """Norm of the monomial Lagrangian z^k: k! / sqrt(rho_k)."""
-    rule = parse_weight_rule(rho)
-    rk = float(rule(k))
-    if rk <= 0 or not np.isfinite(rk):
-        raise BadWeights(f"rho_{k} = {rk} must be positive")
-    return math.factorial(k) / math.sqrt(rk)
+def taylor_lagrangian_norm(rho, k):
+    """Norm of the monomial Lagrangian z^k: k! / sqrt(rho_k); k is an
+    integer or an integer array, as in taylor_power."""
+    _, rk, fact = _taylor_terms(rho, k)
+    return _scalar_or_array(fact / np.sqrt(rk))
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +200,22 @@ def ortho_power_and_bump(mu_coeffs):
     power is the tail sum of squares, the minimal bump has coefficients
     a_j = mu(u_j)/power^2, and its norm is the reciprocal power.
 
-    Returns (power, bump_coeffs, bump_norm).
+    Returns (power, bump_coeffs, bump_norm).  mu_coeffs is one tail, giving
+    float power and norm, or a batch with one tail along its last axis,
+    giving arrays, elementwise the single values bit for bit: each sum runs
+    over exactly its own row, so tails of different lengths go in separate
+    calls.  Raises DegenerateEvaluation naming the first tail that vanishes.
     """
-    mu_coeffs = np.atleast_1d(np.asarray(mu_coeffs, dtype=float))
-    p2 = float(np.sum(mu_coeffs ** 2))
-    if p2 == 0.0:
+    mu_coeffs = np.ascontiguousarray(np.atleast_1d(np.asarray(mu_coeffs, dtype=float)))
+    p2 = np.sum(mu_coeffs ** 2, axis=-1)
+    vanishing = p2 == 0.0
+    if vanishing.any():
         raise DegenerateEvaluation(
-            "all tail coefficients vanish; no bump function exists")
-    power = math.sqrt(p2)
-    bump = mu_coeffs / p2
-    bump_norm = math.sqrt(float(np.sum(bump ** 2)))
-    return power, bump, bump_norm
+            "all tail coefficients vanish; no bump function exists"
+            + at_first_row(vanishing))
+    bump = mu_coeffs / p2[..., None]
+    bump_norm = np.sqrt(np.sum(bump ** 2, axis=-1))
+    return _scalar_or_array(np.sqrt(p2)), bump, _scalar_or_array(bump_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -199,9 +199,11 @@ def tradeoff_report(kernel, lam_set: FunctionalSet | None, eval_set) -> list[Tra
     """One report per evaluation functional: power, Lagrangian norm, product.
     Excluded (reproduced) functionals are flagged, not fatal, and so are
     unresolved ones, whose power lies below its roundoff floor F
-    (PowerContext.roundoff_floor): F > UNRESOLVED_RTOL * P^2.  An
-    unresolved row keeps its power, norm and product, but double precision
-    does not decide them.
+    (PowerContext.roundoff_floor): F > UNRESOLVED_RTOL * P^2, or whose
+    Schur and bordered routes disagree (power_squared's cross-check).  An
+    unresolved row keeps its Schur power and the norm read off its bordered
+    value, so its product is their ratio, but double precision does not
+    decide them.  An excluded row stays excluded whatever its routes give.
 
     The rows come in blocks of _REPORT_BLOCK.  Each block takes one diag
     and one cross call, which spreads the kernel's per-call cost (layout,
@@ -225,12 +227,17 @@ def tradeoff_report(kernel, lam_set: FunctionalSet | None, eval_set) -> list[Tra
             w = ctx.factor.solve(kml.T).T
         floor = ctx.roundoff_floor(kmm, kml, w)
         for mu, kmm_i, kml_i, w_i, floor_i in zip(block, kmm, kml, w, floor):
-            ev = ctx.power_squared(mu, kernel_row=(kmm_i, kml_i), lagrange_values=w_i)
+            args = dict(kernel_row=(kmm_i, kml_i), lagrange_values=w_i)
+            try:
+                ev, disagree = ctx.power_squared(mu, **args), False
+            except ArithmeticError:
+                ev, disagree = ctx.power_squared(mu, cross_check=False, **args), True
             if ev.excluded:
                 norm, flag = math.nan, FLAG_EXCLUDED
             else:
                 norm = math.sqrt(ctx.lagrangian_norm_squared(ev))
-                flag = (FLAG_UNRESOLVED if floor_i > UNRESOLVED_RTOL * ev.power_squared
+                flag = (FLAG_UNRESOLVED
+                        if disagree or floor_i > UNRESOLVED_RTOL * ev.power_squared
                         else FLAG_OK)
             out.append(TradeoffReport(mu=mu, power=math.sqrt(ev.power_squared),
                                       stability_norm=norm, flag=flag))

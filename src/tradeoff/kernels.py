@@ -252,12 +252,16 @@ class MaternSobolevKernel:
         """_radial over every pair of sites, run once per distinct argument
         (distinct as a bit pattern, so -0.0 and 0.0 stay apart) and gathered;
         _radial is elementwise, so each entry is bit for bit the one a
-        full-array evaluation gives."""
-        diff = pts_a[:, None, :] - pts_b[None, :, :]
-        if self.d == 1:
-            u = diff[:, :, 0] / self.c
-        else:
-            u = np.sqrt(np.maximum((diff ** 2).sum(-1), 0.0)) / self.c
+        full-array evaluation gives.  The distances take one difference
+        array per coordinate, squared in place: sqrt(dx*dx + dy*dy)."""
+        u = pts_a[:, None, 0] - pts_b[None, :, 0]
+        if self.d == 2:
+            dy = pts_a[:, None, 1] - pts_b[None, :, 1]
+            np.multiply(u, u, out=u)
+            np.multiply(dy, dy, out=dy)
+            u += dy
+            np.sqrt(u, out=u)
+        u /= self.c
         keys, inverse = np.unique(u.view(np.int64), return_inverse=True)
         return self._radial(n_a, n_b, keys.view(float))[inverse.reshape(u.shape)]
 

@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels, linalg
-from .errors import NoBumpExists
+from .errors import NoBumpExists, at_first_row
 from .functionals import FunctionalSet, LaplacianEval, PointEval
 from .kernel_recovery import PowerContext, schur_batch
 
@@ -196,54 +196,88 @@ def pseudo_lagrangian_norms(rec: UnsymmetricRecovery) -> np.ndarray:
 @dataclass(frozen=True)
 class SvdRecovery:
     """Diagonalized M x N system: nonincreasing singular values padded with
-    zeros to length M, plus an optional Tikhonov parameter."""
+    zeros to length M, plus an optional Tikhonov parameter.
+
+    singular_values may also be a batch, one system per row of its last
+    axis (each row nonincreasing, all padded to the same M) sharing tau."""
 
     sigma: np.ndarray
     tau: float = 0.0
 
     def __init__(self, singular_values, m: int | None = None, tau: float = 0.0):
         s = np.atleast_1d(np.asarray(singular_values, dtype=float))
-        if np.any(s < 0) or np.any(np.diff(s) > 0):
+        # a NaN is rejected too, so the zero singular values always trail
+        if not np.all(s >= 0) or np.any(np.diff(s) > 0):
             raise ValueError("singular values must be nonincreasing and >= 0")
         if tau < 0:
             raise ValueError("Tikhonov parameter must be >= 0")
         if m is not None:
-            if m < s.size:
-                raise ValueError(f"cannot pad {s.size} singular values to length {m}")
-            s = np.concatenate([s, np.zeros(m - s.size)])
-        object.__setattr__(self, "sigma", s)
+            if m < s.shape[-1]:
+                raise ValueError(f"cannot pad {s.shape[-1]} singular values to length {m}")
+            s = np.concatenate([s, np.zeros(s.shape[:-1] + (m - s.shape[-1],))], axis=-1)
+        object.__setattr__(self, "sigma", np.ascontiguousarray(s))
         object.__setattr__(self, "tau", float(tau))
 
     def zero_mask(self) -> np.ndarray:
-        smax = self.sigma[0] if self.sigma.size else 0.0
-        return self.sigma <= RANK_RTOL * smax
+        """The singular values at most RANK_RTOL times their row's largest:
+        a trailing run of each row."""
+        return self.sigma <= RANK_RTOL * self.sigma[..., :1]
 
 
-def svd_power_squared(rec: SvdRecovery, mu) -> float:
+def _svd_coeffs(rec: SvdRecovery, mu) -> np.ndarray:
+    """mu as a C-ordered float array of rec.sigma's shape: one coefficient
+    vector per system."""
+    mu = np.asarray(mu, dtype=float, order="C")
+    if mu.shape != rec.sigma.shape:
+        raise ValueError(f"need coefficients of shape {rec.sigma.shape}, got {mu.shape}")
+    return mu
+
+
+def _tail_sum_of_squares(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """sum(v[mask] ** 2) for each row of the last axis, where each row's mask
+    is a trailing run.  Rows are grouped by run length so that each sum runs
+    over exactly its own entries: numpy's pairwise sum regroups past 8 terms,
+    so zeros in place of the other entries would move the last bits."""
+    shape = (math.prod(v.shape[:-1]), v.shape[-1])
+    m = shape[1]
+    rows, counts = v.reshape(shape), mask.reshape(shape).sum(-1)
+    out = np.empty(shape[0])
+    for k in np.unique(counts).tolist():
+        at = counts == k
+        out[at] = np.sum(rows[at, m - k:] ** 2, axis=-1)
+    return out.reshape(v.shape[:-1])
+
+
+def svd_power_squared(rec: SvdRecovery, mu):
     """Squared power of the (possibly regularized) diagonal solver.
 
     Without regularization this sums mu_k^2 over the zero singular values;
-    with tau > 0 it is sum_k mu_k^2 tau^2 / (sigma_k + tau)^2.
+    with tau > 0 it is sum_k mu_k^2 tau^2 / (sigma_k + tau)^2.  One system
+    and its coefficient vector give a float; a batch of systems and one
+    coefficient vector per system (rows of the last axis) give an array,
+    elementwise the single values bit for bit.
     """
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != rec.sigma.shape:
-        raise ValueError(f"need {rec.sigma.size} coefficients, got {mu.shape}")
+    mu = _svd_coeffs(rec, mu)
     if rec.tau > 0.0:
-        return float(np.sum(mu ** 2 * rec.tau ** 2 / (rec.sigma + rec.tau) ** 2))
-    return float(np.sum(mu[rec.zero_mask()] ** 2))
+        p2 = np.sum(mu ** 2 * rec.tau ** 2 / (rec.sigma + rec.tau) ** 2, axis=-1)
+    else:
+        p2 = _tail_sum_of_squares(mu, rec.zero_mask())
+    return float(p2) if p2.ndim == 0 else p2
 
 
-def svd_bump_min(rec: SvdRecovery, mu) -> tuple[np.ndarray, float]:
+def svd_bump_min(rec: SvdRecovery, mu):
     """Minimum-norm bump vector: supported on the zero-sigma coordinates,
-    f_k = mu_k / sum(mu_j^2), with norm the reciprocal root of that sum."""
-    mu = np.asarray(mu, dtype=float)
+    f_k = mu_k / sum(mu_j^2), with norm the reciprocal root of that sum.
+
+    Batches go as in svd_power_squared, giving (bumps, norms); raises
+    NoBumpExists naming the first row without a bump."""
+    mu = _svd_coeffs(rec, mu)
     mask = rec.zero_mask()
-    tail = mu[mask]
-    denom = float(np.sum(tail ** 2))
-    if not mask.any() or denom == 0.0:
+    denom = _tail_sum_of_squares(mu, mask)
+    if (denom == 0.0).any():
         raise NoBumpExists(
             "no zero singular value carries a nonzero mu component "
-            "(the excluded 1 <= 0*inf case)")
-    f = np.zeros_like(mu)
-    f[mask] = tail / denom
-    return f, math.sqrt(float(np.sum(f ** 2)))
+            "(the excluded 1 <= 0*inf case)" + at_first_row(denom == 0.0))
+    f = np.divide(mu, denom[..., None], out=np.zeros_like(mu), where=mask)
+    norm = np.sqrt(np.sum(f ** 2, axis=-1))
+    return f, float(norm) if norm.ndim == 0 else norm

@@ -11,6 +11,7 @@ from tradeoff import cli, kernel_recovery, linalg
 from tradeoff.cli import ExperimentConfig, main, run_fig1, run_greedy, run_identities, run_kansa
 from tradeoff.functionals import FunctionalSet
 from tradeoff.kernels import MaternSobolevKernel, gram
+from tradeoff.weights import parse_weight_rule
 
 
 def test_fig1_summary_and_curves(tmp_path):
@@ -102,23 +103,43 @@ def test_identities_suite_filter(tmp_path):
     assert "poly" in text and "svd" not in text
 
 
-def test_identities_suite_error_is_a_failure_not_a_crash(tmp_path, monkeypatch):
-    def broken(*args):
-        raise ArithmeticError("broken ctd")
+# each closed form the suites call, with the suite that calls it
+_CLOSED_FORMS = [("poly", cli.expansion, "poly_power"),
+                 ("poly", cli.expansion, "poly_lagrangian_seminorm"),
+                 ("ctd", cli.expansion, "ctd_power"),
+                 ("ctd", cli.expansion, "ctd_lagrangian_norm"),
+                 ("taylor", cli.expansion, "taylor_power"),
+                 ("taylor", cli.expansion, "taylor_lagrangian_norm"),
+                 ("ortho", cli.expansion, "ortho_power_and_bump"),
+                 ("svd", cli.unsymmetric, "svd_power_squared"),
+                 ("svd", cli.unsymmetric, "svd_bump_min")]
 
-    monkeypatch.setattr(cli.expansion, "ctd_power", broken)
-    cfg = ExperimentConfig("identities", params={"suites": ["ctd", "svd"]},
-                           out_dir=tmp_path)
-    text, ok = run_identities(cfg)
-    assert not ok
-    assert "FAIL ctd: raised ArithmeticError: broken ctd" in text
-    assert "PASS svd:" in text
+
+def test_identities_suite_error_is_a_failure_not_a_crash(tmp_path, monkeypatch):
+    # a closed form that raises fails its own suite, and only that one
+    suites = [name for name in cli.IDENTITY_SUITES if name != "kernel"]
+    for suite, module, name in _CLOSED_FORMS:
+        def broken(*args, name=name):
+            raise ArithmeticError(f"broken {name}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, broken)
+            cfg = ExperimentConfig("identities", params={"suites": suites},
+                                   out_dir=tmp_path / name)
+            text, ok = run_identities(cfg)
+        assert not ok
+        assert f"FAIL {suite}: raised ArithmeticError: broken {name}\n" in text
+        verdicts = [line.split()[0] for line in text.splitlines()[1:-1]]
+        assert verdicts.count("FAIL") == 1, text
+        assert verdicts.count("PASS") == len(suites) - 1, text
 
 
 # The suites as they were written first, one evaluation point at a time:
-# the oracles that the vectorized ctd suite and the one-Gram kernel suite
-# must equal bit for bit.  The ctd loop spells out the closed forms in
-# Python floats, so it shares no code with the array path.
+# the oracles that the vectorized suites and the one-Gram kernel suite must
+# equal bit for bit.  The ctd loop spells out the closed forms in Python
+# floats; the poly, taylor, ortho and svd loops spell out the scalar closed
+# forms as they were, one numpy reduction over one case each.  None of them
+# shares code with the array paths.
 
 def _scalar_ctd_suite(rng):
     def product(xk, xk1, x):
@@ -135,6 +156,65 @@ def _scalar_ctd_suite(rng):
         lo, hi = min(lo, prod), max(hi, prod)
         mid_dev = max(mid_dev, abs(product(xk, xk1, xk + 0.5 * width) - 1.0))
     return lo, hi, mid_dev
+
+
+def _scalar_poly_suite(rng):
+    worst = 0.0
+    for _ in range(200):
+        n = int(rng.integers(1, 11))
+        while True:
+            nodes = np.sort(rng.uniform(-1.0, 1.0, n + 1))
+            if np.all(np.diff(nodes) > 1e-12):
+                break
+        while True:
+            x = float(rng.uniform(-1.0, 1.0))
+            if np.min(np.abs(x - nodes)) > 1e-9:
+                break
+        diffs = np.abs(x - nodes)
+        power = float(np.prod(diffs) / math.factorial(n + 1))
+        seminorm = float(math.factorial(n + 1) / np.prod(diffs))
+        worst = max(worst, abs(power * seminorm - 1.0))
+    return worst
+
+
+def _scalar_taylor_suite(rng):
+    worst = 0.0
+    for _ in range(100):
+        rule = parse_weight_rule(cli._TAYLOR_RULES[int(rng.integers(0, len(cli._TAYLOR_RULES)))])
+        k = int(rng.integers(0, 40))
+        rk = float(rule(k))
+        prod = math.sqrt(rk) / math.factorial(k) * (math.factorial(k) / math.sqrt(rk))
+        worst = max(worst, abs(prod - 1.0))
+    return worst
+
+
+def _scalar_ortho_suite(rng):
+    worst = 0.0
+    for _ in range(100):
+        tail = rng.normal(size=int(rng.integers(1, 50)))
+        p2 = float(np.sum(tail ** 2))
+        bump_norm = math.sqrt(float(np.sum((tail / p2) ** 2)))
+        worst = max(worst, abs(math.sqrt(p2) * bump_norm - 1.0))
+    return worst
+
+
+def _scalar_svd_suite(rng):
+    worst = 0.0
+    for _ in range(100):
+        m = int(rng.integers(2, 12))
+        n_pos = int(rng.integers(0, m))
+        sigma = np.concatenate([np.sort(rng.uniform(0.1, 5.0, size=n_pos))[::-1],
+                                np.zeros(m - n_pos)])
+        mu = rng.normal(size=m)
+        zero = sigma <= 1e-12 * sigma[0]
+        if not np.any(mu[zero] != 0.0):
+            mu[-1] = 1.0
+        p2 = float(np.sum(mu[zero] ** 2))
+        f = np.zeros(m)
+        f[zero] = mu[zero] / p2
+        norm = math.sqrt(float(np.sum(f ** 2)))
+        worst = max(worst, abs(p2 * norm ** 2 - 1.0))
+    return worst
 
 
 def _per_mu_kernel_suite(rng, perturb):
@@ -171,6 +251,17 @@ def _outcome(suite, *args):
 def test_ctd_suite_equals_the_scalar_loop_bit_for_bit(seed):
     assert _outcome(cli._identity_ctd, np.random.default_rng(seed)) \
         == _outcome(_scalar_ctd_suite, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("suite,scalar_loop", [
+    ("poly", _scalar_poly_suite), ("taylor", _scalar_taylor_suite),
+    ("ortho", _scalar_ortho_suite), ("svd", _scalar_svd_suite)],
+    ids=["poly", "taylor", "ortho", "svd"])
+def test_batched_suite_equals_the_scalar_loop_bit_for_bit(suite, scalar_loop, seed):
+    batched = getattr(cli, f"_identity_{suite}")
+    assert _outcome(batched, np.random.default_rng(seed)) \
+        == _outcome(scalar_loop, np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("perturb", [False, True], ids=["plain", "perturb"])
@@ -262,6 +353,34 @@ def test_cli_main_audit_counts_unresolved_rows(tmp_path, capsys):
     assert [r.rsplit(",", 1)[1] for r in rows] == ["ok", "excluded", "unresolved"]
     power, norm, product = map(float, rows[2].split(",")[3:6])
     assert 0.0 < power and math.isfinite(norm) and product == pytest.approx(1.0, rel=1e-3)
+
+
+def test_cli_main_audit_counts_a_route_disagreement_as_unresolved(tmp_path, capsys,
+                                                                 monkeypatch):
+    # the cross-check of the first row raises: the audit still exits 0 with
+    # every row, and that row alone is counted and flagged unresolved
+    power_squared = kernel_recovery.PowerContext.power_squared
+
+    def disagreeing(self, mu, cross_check=True, **kwargs):
+        if mu.x == (0.25,) and cross_check:
+            raise ArithmeticError("power-function routes disagree")
+        return power_squared(self, mu, cross_check=cross_check, **kwargs)
+
+    monkeypatch.setattr(kernel_recovery.PowerContext, "power_squared", disagreeing)
+    spec = {
+        "kernel": {"family": "matern", "m": 5, "d": 1, "c": 1.0},
+        "data": [{"kind": "point", "x": [0.0]}, {"kind": "point", "x": [0.5]}],
+        "eval": [{"kind": "point", "x": [0.25]}, {"kind": "point", "x": [0.0]},
+                 {"kind": "point", "x": [0.75]}],
+    }
+    cfg_file = tmp_path / "audit.json"
+    cfg_file.write_text(json.dumps(spec))
+    rc = main(["audit", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "evaluations": 3, "excluded": 1, "unresolved": 1}
+    rows = (tmp_path / "out/audit_report.csv").read_text().splitlines()[1:]
+    assert [r.rsplit(",", 1)[1] for r in rows] == ["unresolved", "excluded", "ok"]
 
 
 def test_cli_main_identities_exit_codes(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tradeoff.errors import (
     BadWeights,
@@ -12,7 +14,7 @@ from tradeoff.errors import (
 )
 from tradeoff import expansion as ex
 from tradeoff.functionals import CoeffEval, FunctionalSet, PointEval, apply_to_coeffs
-from tradeoff.weights import parse_weight_rule, weight_array
+from tradeoff.weights import WeightRule, parse_weight_rule, weight_array
 
 
 # ---- polynomial interpolation ----
@@ -45,6 +47,60 @@ def test_poly_errors():
         ex.poly_power([0.0, 0.0, 1.0], 0.5)
     with pytest.raises(NodeCoincidence):
         ex.poly_lagrangian_seminorm([-1.0, 0.0, 1.0], 0.0)
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+_coords = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_nodes=st.integers(1, 12), rows=st.integers(1, 8))
+def test_poly_batches_equal_the_single_calls_bit_for_bit(data, n_nodes, rows):
+    nodes = np.array([data.draw(st.lists(_coords, min_size=n_nodes, max_size=n_nodes,
+                                         unique=True)) for _ in range(rows)])
+    x = np.array(data.draw(st.lists(_coords, min_size=rows, max_size=rows)))
+    # no point on a node of its own set or of the first
+    assume(not np.any(x[:, None] == nodes) and not np.any(x[:, None] == nodes[0]))
+    # tiny differences may underflow a product, and so on: both paths alike
+    with np.errstate(all="ignore"):
+        _assert_poly_batch_is_single_calls(nodes, x)
+
+
+def _assert_poly_batch_is_single_calls(nodes, x):
+    for f in (ex.poly_power, ex.poly_lagrangian_seminorm):
+        batch = f(nodes, x)
+        assert batch.shape == x.shape
+        assert _hex(batch) == _hex([f(r, v) for r, v in zip(nodes, x.tolist())])
+        # one node set against many points, and a column-major batch
+        assert _hex(f(nodes[0], x)) == _hex([f(nodes[0], v) for v in x.tolist()])
+        assert _hex(f(np.asfortranarray(nodes), x)) == _hex(batch)
+
+
+def test_poly_scalar_input_returns_a_float():
+    assert type(ex.poly_power(np.array([-1.0, 1.0]), np.float64(0.0))) is float
+    assert type(ex.poly_lagrangian_seminorm([-1.0, 1.0], 0.5)) is float
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 8))
+def test_poly_batches_name_their_first_bad_row(data, rows):
+    bad = sorted(data.draw(st.sets(st.integers(0, rows - 1), min_size=1)))
+    nodes = np.tile([-1.0, 0.0, 1.0], (rows, 1))
+    x = np.full(rows, 0.5)
+    for f in (ex.poly_power, ex.poly_lagrangian_seminorm):
+        repeated = nodes.copy()
+        repeated[bad, 2] = -1.0
+        with pytest.raises(DuplicateNodes) as info:
+            f(repeated, x)
+        assert str(info.value) == f"interpolation nodes must be distinct (row {bad[0]})"
+    hits = x.copy()
+    hits[bad] = 1.0
+    with pytest.raises(NodeCoincidence) as info:
+        ex.poly_lagrangian_seminorm(nodes, hits)
+    assert str(info.value) == f"x = 1.0 coincides with a node (row {bad[0]})"
 
 
 # ---- connect-the-dots ----
@@ -137,6 +193,34 @@ def test_taylor_bad_weights():
         ex.taylor_power(lambda j: -1.0, 2)
 
 
+_TAYLOR_RULES = ["1", "0.37", "(j+1)^2", "(j+2)^3", "factorial_sq_over:2^j",
+                 "factorial_sq_over:3^j"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule=st.sampled_from(_TAYLOR_RULES),
+       ks=st.lists(st.integers(0, 60), min_size=1, max_size=30))
+def test_taylor_batches_equal_the_single_calls_bit_for_bit(rule, ks):
+    for f in (ex.taylor_power, ex.taylor_lagrangian_norm):
+        batch = f(rule, np.array(ks))
+        assert batch.shape == (len(ks),)
+        assert _hex(batch) == _hex([f(rule, k) for k in ks])
+        assert type(f(rule, ks[0])) is float
+
+
+@settings(max_examples=40, deadline=None)
+@given(ks=st.lists(st.integers(0, 8), min_size=1, max_size=10).filter(lambda ks: min(ks) <= 3))
+def test_taylor_batches_name_their_first_bad_row(ks):
+    # rho_j = j - 3 is not positive for j <= 3
+    rule = WeightRule(kind="poly", a=-3.0, p=1.0)
+    first = next(i for i, k in enumerate(ks) if k <= 3)
+    for f in (ex.taylor_power, ex.taylor_lagrangian_norm):
+        with pytest.raises(BadWeights) as info:
+            f(rule, np.array(ks))
+        k = ks[first]
+        assert str(info.value) == f"rho_{k} = {k - 3.0} must be positive (row {first})"
+
+
 def test_taylor_divergence_warning():
     # rho_j = (j!)^2 2^j makes rho_j/(j!)^2 blow up
     with pytest.warns(UserWarning):
@@ -162,6 +246,37 @@ def test_ortho_345():
 def test_ortho_degenerate():
     with pytest.raises(DegenerateEvaluation):
         ex.ortho_power_and_bump([0.0, 0.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), length=st.integers(1, 40), rows=st.integers(1, 6))
+def test_ortho_batches_equal_the_single_calls_bit_for_bit(data, length, rows):
+    # a zero tail is drawn now and then: the batch must then name the first
+    tails = np.array([data.draw(st.lists(st.floats(-1e3, 1e3) | st.just(0.0),
+                                         min_size=length, max_size=length))
+                      for _ in range(rows)])
+    with np.errstate(all="ignore"):
+        _assert_ortho_batch_is_single_calls(tails)
+
+
+def _assert_ortho_batch_is_single_calls(tails):
+    singles = []
+    for tail in tails:
+        try:
+            singles.append(ex.ortho_power_and_bump(tail))
+        except DegenerateEvaluation:
+            singles.append(None)
+    if None in singles:
+        with pytest.raises(DegenerateEvaluation) as info:
+            ex.ortho_power_and_bump(tails)
+        assert str(info.value).endswith(f"(row {singles.index(None)})")
+        return
+    for batch in (tails, np.asfortranarray(tails)):
+        power, bump, norm = ex.ortho_power_and_bump(batch)
+        assert _hex(power) == _hex([p for p, _, _ in singles])
+        assert _hex(bump) == _hex([b for _, b, _ in singles])
+        assert _hex(norm) == _hex([n for _, _, n in singles])
+    assert all(type(p) is float and type(n) is float for p, _, n in singles)
 
 
 # ---- weighted Chebyshev spaces ----

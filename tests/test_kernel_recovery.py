@@ -143,6 +143,28 @@ def test_tradeoff_report_evaluates_each_row_once(monkeypatch):
     assert solves == {"solve": n_blocks, "rhs_cols": n_rows}
 
 
+def test_route_disagreement_flags_only_its_row(monkeypatch):
+    # a row whose Schur and bordered routes disagree is flagged unresolved
+    # and keeps its Schur P^2 and bordered norm; every other row is as before
+    k = MaternSobolevKernel(4, 2, 0.7)
+    rng = np.random.default_rng(12)
+    lam, _ = _point_set(rng, 6, 2)
+    evals = [PointEval(tuple(p)) for p in rng.uniform(1.3, 1.9, size=(5, 2))]
+    plain = tradeoff_report(k, lam, evals)
+    power_squared = PowerContext.power_squared
+
+    def disagreeing(self, mu, cross_check=True, **kwargs):
+        if mu is evals[2] and cross_check:
+            raise ArithmeticError("power-function routes disagree")
+        return power_squared(self, mu, cross_check=cross_check, **kwargs)
+
+    monkeypatch.setattr(PowerContext, "power_squared", disagreeing)
+    reports = tradeoff_report(k, lam, evals)
+    assert [r.flag for r in plain] == [FLAG_OK] * 5
+    assert [r.flag for r in reports] == [FLAG_OK, FLAG_OK, FLAG_UNRESOLVED, FLAG_OK, FLAG_OK]
+    assert _report_bits(reports)[0] == _report_bits(plain)[0]
+
+
 def _report_bits(reports):
     """(power, stability_norm) bit patterns and flags of a report list."""
     vals = np.array([(r.power, r.stability_norm) for r in reports], dtype=float)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tradeoff import linalg
 from tradeoff.errors import NoBumpExists
@@ -289,6 +291,60 @@ def test_tikhonov_monotone_in_tau():
     assert np.all(np.diff(vals) >= -1e-12)
 
 
+def _hex(values) -> list:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@st.composite
+def _svd_batches(draw):
+    """Systems of m singular values, each row nonincreasing with a trailing
+    run of zeros of drawn length, and one normal mu per system, seeded so
+    that the entries carry full mantissas; some mu rows vanish on their zero
+    run, so have no bump."""
+    m, rows = draw(st.integers(1, 16)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sigma = -np.sort(-rng.uniform(0.1, 5.0, size=(rows, m)), axis=-1)
+    mu = rng.normal(size=(rows, m))
+    for row, v in zip(sigma, mu):
+        n_pos = draw(st.integers(0, m))
+        row[n_pos:] = 0.0
+        if draw(st.integers(0, 9)) == 0:
+            v[n_pos:] = 0.0
+    return sigma, mu
+
+
+def _single_bumps(sigma, mu):
+    out = []
+    for s, v in zip(sigma, mu):
+        try:
+            out.append(svd_bump_min(SvdRecovery(s), v))
+        except NoBumpExists:
+            out.append(None)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(batch=_svd_batches(), tau=st.sampled_from([0.0, 0.3]))
+def test_svd_batches_equal_the_single_calls_bit_for_bit(batch, tau):
+    sigma, mu = batch
+    p2 = svd_power_squared(SvdRecovery(sigma, tau=tau), mu)
+    assert _hex(p2) == _hex([svd_power_squared(SvdRecovery(s, tau=tau), v)
+                             for s, v in zip(sigma, mu)])
+    if tau == 0.0:
+        # the sum runs over exactly the zero run, as a masked sum does
+        assert _hex(p2) == _hex([np.sum(v[s <= 1e-12 * s[0]] ** 2) for s, v in zip(sigma, mu)])
+    singles = _single_bumps(sigma, mu)
+    if None in singles:
+        with pytest.raises(NoBumpExists) as info:
+            svd_bump_min(SvdRecovery(sigma), mu)
+        assert str(info.value).endswith(f"(row {singles.index(None)})")
+        return
+    f, norm = svd_bump_min(SvdRecovery(sigma), mu)
+    assert _hex(f) == _hex([b for b, _ in singles])
+    assert _hex(norm) == _hex([n for _, n in singles])
+    assert all(type(n) is float for _, n in singles)
+
+
 def test_svd_validation():
     with pytest.raises(ValueError):
         SvdRecovery([1.0, 2.0])  # increasing
@@ -298,3 +354,7 @@ def test_svd_validation():
         SvdRecovery([1.0, 0.5], m=1)
     with pytest.raises(ValueError):
         svd_power_squared(SvdRecovery([1.0, 0.0]), [1.0])
+    with pytest.raises(ValueError):
+        SvdRecovery([1.0, np.nan])  # a NaN would break the trailing zero run
+    with pytest.raises(ValueError):
+        SvdRecovery([[2.0, 1.0], [1.0, 2.0]])  # each row must be nonincreasing
