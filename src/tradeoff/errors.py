@@ -20,7 +20,8 @@ class DimensionMismatch(TradeoffError, ValueError):
 
 
 class NotPositiveDefinite(TradeoffError, ValueError):
-    """Symmetric factorization failed even at maximum jitter."""
+    """A Cholesky factorization failed: the matrix is not positive definite
+    in double precision."""
 
 
 class UnsupportedPair(TradeoffError, ValueError):

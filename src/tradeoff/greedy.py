@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .errors import NotPositiveDefinite
 from .functionals import Functional, FunctionalSet
 from .kernel_recovery import PowerContext, schur_batch
 from .kernels import mirror_upper
@@ -15,6 +16,7 @@ from .kernels import mirror_upper
 STOP_TOLERANCE = "tolerance"
 STOP_MAX_STEPS = "max_steps"
 STOP_EXHAUSTED = "exhausted"
+STOP_SINGULAR = "singular"
 
 TRACE_CSV_HEADER = "step,candidate_id,x,y,max_power"
 
@@ -55,8 +57,9 @@ def p_greedy(kernel, candidates: FunctionalSet, max_steps: int,
     flip a near-tie between candidates of equal power up to roundoff.
 
     Stops after the step whose maximal power is <= tolerance, when max_steps
-    selections are made, or when the candidates are exhausted.  The max-power
-    sequence is nonincreasing because every step enlarges the data set.
+    selections are made, when the candidates are exhausted, or, keeping the
+    trace so far, when the selected Gram fails its Cholesky factorization.
+    The max-power sequence is nonincreasing: every step enlarges the data.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -71,7 +74,11 @@ def p_greedy(kernel, candidates: FunctionalSet, max_steps: int,
         if selected:
             k = len(selected)
             cols[:, k - 1] = kernel.cross(candidates, [pool[selected[-1]]])[:, 0]
-            factor = linalg.factor_spd(mirror_upper(cols[selected, :k]))
+            try:
+                factor = linalg.factor_spd(mirror_upper(cols[selected, :k]))
+            except NotPositiveDefinite:
+                reason = STOP_SINGULAR
+                break
             p2, _ = schur_batch(factor, kmm[remaining], cols[remaining, :k])
         best = int(np.argmax(p2))  # argmax returns the first (lowest-id) maximizer
         max_power = math.sqrt(float(p2[best]))

@@ -51,7 +51,6 @@ class PowerEvaluation:
     k_mu_mu: float
     k_mu_lambda: np.ndarray
     bordered: float
-    clamped: bool = False
 
     @property
     def excluded(self) -> bool:
@@ -70,7 +69,7 @@ def schur_batch(factor: linalg.SpdFactor, kmm: np.ndarray,
 
 class PowerContext:
     """Factorization of the dual Gram of a functional set, reused across
-    many evaluation functionals."""
+    many evaluation functionals; NotPositiveDefinite if it fails."""
 
     def __init__(self, kernel, lam_set: FunctionalSet | None):
         self.kernel = kernel
@@ -84,10 +83,6 @@ class PowerContext:
             # max |diag(G)|, the scale of the cross-check's roundoff floor
             self._gram_scale = np.max(np.abs(np.diag(self.gram)))
 
-    @property
-    def jitter(self) -> float:
-        return self.factor.jitter if self.factor is not None else 0.0
-
     @cached_property
     def _abs_gram(self) -> np.ndarray:
         return np.abs(self.gram)
@@ -96,12 +91,11 @@ class PowerContext:
         """Roundoff floor of each squared power of a batch, from its
         K(mu, mu), K(mu, Lambda) and Lagrange values (one row each):
 
-            F = n u (|K_mumu| + 2 |w|^T |k| + |w|^T |G| |w|) + jitter |w|^2
+            F = n u (|K_mumu| + 2 |w|^T |k| + |w|^T |G| |w|)
 
-        for n data functionals and u = 2^-53.  The first term is the
-        first-order error of P^2 = K_mumu - k^T w when the kernel values
-        carry rounding errors of relative size u; the second is the shift a
-        jittered factorization makes.  |W| |G| is one product for the batch.
+        for n data functionals and u = 2^-53: the first-order error of
+        P^2 = K_mumu - k^T w when the kernel values carry rounding errors of
+        relative size u.  |W| |G| is one product for the batch.
         """
         n = len(self.gram)
         if n == 0:
@@ -109,8 +103,7 @@ class PowerContext:
         aw = np.abs(w)
         quad = np.einsum("ij,ij->i", linalg.matmul(aw, self._abs_gram), aw)
         cross = np.einsum("ij,ij->i", aw, np.abs(kml))
-        return (n * _U * (np.abs(kmm) + 2.0 * cross + quad)
-                + self.jitter * np.einsum("ij,ij->i", w, w))
+        return n * _U * (np.abs(kmm) + 2.0 * cross + quad)
 
     def power_batch(self, mus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Schur-complement powers for a batch of evaluation functionals.
@@ -162,7 +155,7 @@ class PowerContext:
                 raise ArithmeticError(
                     f"power-function routes disagree: schur={schur:.6e} "
                     f"bordered={bordered:.6e}")
-        return PowerEvaluation(mu, max(schur, 0.0), w, kmm, kml, bordered, schur < 0.0)
+        return PowerEvaluation(mu, max(schur, 0.0), w, kmm, kml, bordered)
 
     def bordered_power_squared(self, mu: Functional) -> float:
         """The bordered quadratic form route on its own."""

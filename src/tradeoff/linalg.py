@@ -1,17 +1,21 @@
-"""Dense linear-algebra substrate: SPD solves with jitter escalation, a
-thin SVD with a tolerance-cut rank and pseudoinverse, and the matrix product
-that runs beside them.
+"""Dense linear-algebra substrate: a plain Cholesky factorization and its
+solves, a thin SVD with a tolerance-cut rank and pseudoinverse, and the
+matrix product that runs beside them.
+
+A failed Cholesky raises NotPositiveDefinite: a shifted Gram would be a
+different problem.  No solve is refined: refinement in working precision
+improves the backward error, not the forward error, which the roundoff floor
+bounds (Higham, Accuracy and Stability, 2002, sections 10.1 and 12.2).
 
 The numpy and scipy wheels each bundle their own OpenBLAS, and each library
 keeps its own pool of worker threads.  Idle OpenBLAS workers busy-wait
 before they sleep, so code that alternates between the two libraries (a
-scipy Cholesky solve, a numpy ``@``, another scipy solve) has one pool's
-spinning workers take processor time from the other's working ones.  Every
-matrix product here that runs beside a factorization or an SVD therefore
-goes through scipy's BLAS, the library that also provides ``potrf``,
-``potrs`` and ``gesdd``: ``matmul`` for products, and the residual of
-``SpdFactor.solve`` for a matrix right-hand side.  At one BLAS thread
-``matmul`` returns numpy's ``@`` bit for bit.
+scipy Cholesky solve, then a numpy ``@``) has one pool's spinning workers
+take processor time from the other's working ones.  Every matrix product
+here that runs beside a factorization or an SVD therefore goes through
+scipy's BLAS, the library that also provides ``potrf``, ``potrs`` and
+``gesdd``, by ``matmul``.  At one BLAS thread ``matmul`` returns numpy's
+``@`` bit for bit.
 """
 from __future__ import annotations
 
@@ -23,11 +27,6 @@ from scipy.linalg.blas import ddot, dgemm, dgemv
 from scipy.linalg.lapack import dpotri
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-
-# Jitter escalation for near-singular Gram matrices: 0, then
-# 1e-12*trace/n stepping x10 up to 1e-6*trace/n.
-_JITTER_START = 1e-12
-_JITTER_MAX = 1e-6
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -80,41 +79,34 @@ def matmul(a, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpdFactor:
-    """Cholesky factorization of (A + jitter*I), keeping A for refinement."""
+    """Lower Cholesky factorization of a symmetric positive definite A, as
+    scipy's (c, lower) pair."""
 
-    a: np.ndarray
     cho: tuple
-    jitter: float
+
+    # no factorization is shifted; kept only because the benchmark's
+    # factor_spd span reads it
+    jitter = 0.0
 
     @property
     def n(self) -> int:
-        return self.a.shape[0]
+        return self.cho[0].shape[0]
 
     def solve(self, b) -> np.ndarray:
-        """Solve A x = b; one iterative-refinement pass against the
-        unjittered A cuts the residual on ill-conditioned Grams.  The factor
-        was checked finite when it was built, so only b is checked here.
-
-        For a matrix b the residual b - A x is formed by ``matmul``, on the
-        same BLAS thread pool as the two Cholesky solves around it, and
-        equals numpy's b - A @ x bit for bit at one thread.  A vector b
-        keeps numpy's ``@``: the per-row power and identity solves that use
-        it are not contended, and scipy's gemv there made the reports
-        slower."""
+        """Solve A x = b (b a vector or a matrix) by one ``cho_solve``; the
+        factor was checked finite when it was built, so only b is checked."""
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
             raise DimensionMismatch(
                 f"rhs has {b.shape[0]} rows, matrix is {self.n}x{self.n}")
         if not np.isfinite(b).all():
             raise DimensionMismatch("rhs entries must be finite")
-        x = scipy.linalg.cho_solve(self.cho, b, check_finite=False)
-        r = b - (self.a @ x if b.ndim == 1 else matmul(self.a, x))
-        return x + scipy.linalg.cho_solve(self.cho, r, check_finite=False)
+        return scipy.linalg.cho_solve(self.cho, b, check_finite=False)
 
     def inverse_diagonal(self) -> np.ndarray:
-        """Diagonal of (A + jitter*I)^-1, formed from the stored Cholesky
-        factor by LAPACK potri (about n^3/3 flops, against n^3 for solving
-        against the identity)."""
+        """Diagonal of A^-1, formed from the stored Cholesky factor by LAPACK
+        potri (about n^3/3 flops, against n^3 for solving against the
+        identity)."""
         c, lower = self.cho
         inv, info = dpotri(c, lower=lower)
         if info:
@@ -123,32 +115,20 @@ class SpdFactor:
 
 
 def factor_spd(a) -> SpdFactor:
-    """Factor a symmetric positive (semi)definite matrix.
-
-    Tries jitter 0 first, then escalates the diagonal shift as
-    1e-12*trace/n x 10^k up to 1e-6*trace/n.  Raises NotPositiveDefinite
-    if every level fails.
-    """
+    """Cholesky-factor a symmetric positive definite matrix; NotPositiveDefinite,
+    naming the size, if that fails in double precision."""
     a = _as_matrix(a)
     n, m = a.shape
     if n != m:
         raise DimensionMismatch(f"matrix is {n}x{m}, expected square")
     if n == 0:
         raise DimensionMismatch("matrix is empty")
-    base = np.trace(a) / n
-    scale = _JITTER_START
-    jitter = 0.0
-    while True:
-        try:
-            cho = scipy.linalg.cho_factor(
-                a + jitter * np.eye(n) if jitter else a, lower=True)
-            return SpdFactor(a=a, cho=cho, jitter=jitter)
-        except scipy.linalg.LinAlgError:
-            if jitter and scale > _JITTER_MAX:
-                raise NotPositiveDefinite(
-                    f"Cholesky failed at maximum jitter {jitter:.3e}") from None
-            jitter = scale * base
-            scale *= 10.0
+    try:
+        return SpdFactor(cho=scipy.linalg.cho_factor(a, lower=True, check_finite=False))
+    except scipy.linalg.LinAlgError:
+        raise NotPositiveDefinite(
+            f"Cholesky factorization of the {n}x{n} Gram failed: "
+            "not positive definite in double precision") from None
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 from tradeoff import cli, kernel_recovery, linalg
 from tradeoff.cli import ExperimentConfig, main, run_fig1, run_greedy, run_identities, run_kansa
+from tradeoff.errors import NotPositiveDefinite
 from tradeoff.functionals import FunctionalSet
 from tradeoff.kernels import MaternSobolevKernel, gram
 from tradeoff.weights import parse_weight_rule
@@ -218,13 +220,26 @@ def _scalar_svd_suite(rng):
 
 
 def _per_mu_kernel_suite(rng, perturb):
-    worst = 0.0
+    """Largest |product - 1| over the resolved instances, and the count of
+    unresolved ones: below the row-by-row floor of tests/oracle.py
+    (F > UNRESOLVED_RTOL P^2), or with a data or extended Gram that fails
+    its Cholesky factorization."""
+    devs, unresolved = [], 0
     for m, d in cli._KERNEL_SWEEP:
         kernel, lam_set, mus = cli._kernel_instance(rng, m, d)
-        ctx = kernel_recovery.PowerContext(kernel, lam_set)
+        try:
+            ctx = kernel_recovery.PowerContext(kernel, lam_set)
+        except NotPositiveDefinite:
+            unresolved += len(mus)
+            continue
         for mu in mus:
             ev = ctx.power_squared(mu)
             if ev.excluded:
+                continue
+            floor = oracle.roundoff_floor(ev.k_mu_mu, ev.k_mu_lambda,
+                                          ev.lagrange_values, ctx.gram)
+            if floor > kernel_recovery.UNRESOLVED_RTOL * ev.power_squared:
+                unresolved += 1
                 continue
             ext = FunctionalSet([mu] + list(lam_set))
             g = gram(kernel, ext)
@@ -232,9 +247,13 @@ def _per_mu_kernel_suite(rng, perturb):
                 g[0, 0] *= 1.01
             e0 = np.zeros(len(ext))
             e0[0] = 1.0
-            norm2 = float(linalg.factor_spd(g).solve(e0)[0])
-            worst = max(worst, abs(ev.power_squared * norm2 - 1.0))
-    return worst
+            try:
+                norm2 = float(linalg.factor_spd(g).solve(e0)[0])
+            except NotPositiveDefinite:
+                unresolved += 1
+                continue
+            devs.append(abs(ev.power_squared * norm2 - 1.0))
+    return max(devs, default=0.0), unresolved
 
 
 def _outcome(suite, *args):
@@ -269,6 +288,32 @@ def test_batched_suite_equals_the_scalar_loop_bit_for_bit(suite, scalar_loop, se
 def test_kernel_suite_equals_the_per_mu_loop_bit_for_bit(seed, perturb):
     assert _outcome(cli._identity_kernel, np.random.default_rng(seed), perturb) \
         == _outcome(_per_mu_kernel_suite, np.random.default_rng(seed), perturb)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_kernel_suite_passes_on_every_resolved_instance(tmp_path, seed):
+    # every resolved instance meets 1e-5, and the report's unresolved count
+    # is the per-mu loop's: the instances below their floor or with a
+    # failed Cholesky
+    cfg = ExperimentConfig("identities", params={"suites": ["kernel"]},
+                           out_dir=tmp_path, seed=seed)
+    text, ok = run_identities(cfg)
+    rng = np.random.default_rng(seed + cli.IDENTITY_SUITES.index("kernel"))
+    worst, unresolved = _per_mu_kernel_suite(rng, False)
+    assert ok and worst <= 1e-5
+    assert text.splitlines()[1] == (f"PASS kernel: max |P^2*norm^2 - 1| = {worst:.3e} "
+                                    f"(tol 1e-5), {unresolved} unresolved")
+
+
+def test_kernel_suite_fails_on_a_nan_product(tmp_path, monkeypatch):
+    # a NaN product on a resolved instance fails the suite; it does not
+    # vanish in a running max
+    monkeypatch.setattr(linalg.SpdFactor, "solve",
+                        lambda self, b: np.full(np.shape(b), np.nan))
+    cfg = ExperimentConfig("identities", params={"suites": ["kernel"]}, out_dir=tmp_path)
+    text, ok = run_identities(cfg)
+    assert not ok
+    assert "FAIL kernel: max |P^2*norm^2 - 1| = nan (tol 1e-5)" in text
 
 
 def test_kernel_suite_evaluates_one_gram_per_instance(monkeypatch):
@@ -381,6 +426,25 @@ def test_cli_main_audit_counts_a_route_disagreement_as_unresolved(tmp_path, caps
         "evaluations": 3, "excluded": 1, "unresolved": 1}
     rows = (tmp_path / "out/audit_report.csv").read_text().splitlines()[1:]
     assert [r.rsplit(",", 1)[1] for r in rows] == ["unresolved", "excluded", "ok"]
+
+
+def test_cli_main_audit_exits_1_when_the_data_gram_fails_cholesky(tmp_path, capsys):
+    # two sites 1e-9 apart: a numerical outcome, not bad input, so exit 1
+    # with one error line naming the Gram's size
+    spec = {
+        "kernel": {"family": "matern", "m": 5, "d": 2, "c": 1.0},
+        "data": [{"kind": "point", "x": [0.0, 0.0]}, {"kind": "point", "x": [0.5, 0.1]},
+                 {"kind": "point", "x": [0.5, 0.1 + 1e-9]}],
+        "eval": [{"kind": "point", "x": [0.2, 0.3]}],
+    }
+    cfg_file = tmp_path / "audit.json"
+    cfg_file.write_text(json.dumps(spec))
+    rc = main(["audit", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tradeoff: error: ") and captured.err.count("\n") == 1
+    assert "3x3" in captured.err
 
 
 def test_cli_main_identities_exit_codes(tmp_path):

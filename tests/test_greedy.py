@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tradeoff import linalg
+from tradeoff.errors import NotPositiveDefinite
 from tradeoff.functionals import FunctionalSet, PointEval
-from tradeoff.greedy import p_greedy
+from tradeoff.greedy import STOP_SINGULAR, p_greedy
 from tradeoff.kernel_recovery import PowerContext
 from tradeoff.kernels import ChebWeightKernel, MaternSobolevKernel
 from tradeoff.weights import weight_array
@@ -28,13 +30,18 @@ def _grid_candidates(side, d=2):
 
 def _from_scratch(kernel, candidates, max_steps, tolerance=0.0):
     """Oracle for p_greedy's caches: a fresh PowerContext and power_batch
-    over the remaining candidates at every step."""
+    over the remaining candidates at every step, stopping where the
+    selected Gram fails its Cholesky factorization."""
     pool = list(candidates)
     remaining = list(range(len(pool)))
     selected, powers = [], []
     while remaining:
         prefix = FunctionalSet([pool[i] for i in selected]) if selected else None
-        p2, _, _ = PowerContext(kernel, prefix).power_batch([pool[i] for i in remaining])
+        try:
+            ctx = PowerContext(kernel, prefix)
+        except NotPositiveDefinite:
+            break
+        p2, _, _ = ctx.power_batch([pool[i] for i in remaining])
         best = int(np.argmax(p2))
         powers.append(math.sqrt(float(p2[best])))
         selected.append(remaining.pop(best))
@@ -237,6 +244,34 @@ def test_greedy_matches_bump_minimization():
             else:
                 norms.append(lagrangian_norm_squared(k, lam, f))
         assert cands[int(np.argmin(norms))] == selected[step]
+
+
+def test_singular_selected_gram_stops_with_a_checked_trace(tmp_path, monkeypatch):
+    # on a flat kernel (c = 10) the selected Gram of the 6x6 grid stops
+    # factoring before the grid is used up: the run stops with "singular",
+    # and the trace it keeps passes the benchmark's greedy check, whose
+    # from-scratch PowerContext confirms the maximum at four steps
+    from tradeoff.cli import ExperimentConfig, run_greedy
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import checks
+    import workloads
+
+    config = {"grid_side": 6, "max_steps": 36, "m": 5, "d": 2, "c": 10.0}
+    summary = run_greedy(ExperimentConfig("greedy", params=config, out_dir=tmp_path))
+    assert summary["stop_reason"] == STOP_SINGULAR
+    assert 1 < summary["steps"] < 36
+    trace = (tmp_path / "greedy_trace.csv").read_text()
+    job = workloads.Job("singular", "greedy", config, ops=summary["steps"])
+    assert checks.greedy_failures(job, {"greedy_trace.csv": trace}) == 0
+
+
+def test_matches_from_scratch_up_to_a_singular_gram():
+    # two 1-d sites 1e-3 apart on a smooth kernel: the selected Gram stops
+    # factoring, and p_greedy stops where the from-scratch oracle does
+    sites = [0.046, 0.0, 0.001, 0.133, 0.178, 0.192, 0.207, 0.226, 0.467]
+    cands = FunctionalSet([PointEval((x,)) for x in sites])
+    trace = _assert_matches_oracle(MaternSobolevKernel(6, 1, 1.0), cands, len(sites))
+    assert trace.stop_reason == STOP_SINGULAR
 
 
 def test_invalid_max_steps():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracle
 
-from tradeoff.errors import ExcludedCase
+from tradeoff.errors import ExcludedCase, NotPositiveDefinite
 from tradeoff.functionals import DerivEval, FunctionalSet, LaplacianEval, PointEval
 from tradeoff.kernel_recovery import (
     PowerContext,
@@ -345,23 +345,13 @@ def test_report_floor_equals_the_oracle_floor(problem):
     assert flags[FLAG_UNRESOLVED] and flags[FLAG_OK] > flags[FLAG_UNRESOLVED]
 
 
-def test_roundoff_floor_adds_the_jitter_shift():
-    # two sites 1e-9 apart make the Gram singular in double precision, so the
-    # factorization is jittered; the floor then also counts the shift
-    # jitter |w|^2
+def test_near_coincident_sites_raise_not_positive_definite():
+    # two sites 1e-9 apart make the Gram singular in double precision; the
+    # context raises, naming the Gram's size, instead of shifting the Gram
     k = MaternSobolevKernel(5, 2, 0.7)
     lam = FunctionalSet([PointEval(p) for p in [(0.0, 0.0), (0.5, 0.1), (0.5, 0.1 + 1e-9)]])
-    ctx = PowerContext(k, lam)
-    assert ctx.jitter > 0.0
-    mus = [PointEval((0.2, 0.3)), PointEval((0.9, 0.4))]
-    kmm, kml = k.diag(mus), k.cross(mus, lam)
-    w = ctx.factor.solve(kml.T).T
-    got = ctx.roundoff_floor(kmm, kml, w)
-    for i in range(len(mus)):
-        ref = (oracle.roundoff_floor(kmm[i], kml[i], w[i], ctx.gram)
-               + ctx.jitter * float(w[i] @ w[i]))
-        assert got[i] == pytest.approx(ref, rel=1e-12)
-        assert got[i] > 2.0 * oracle.roundoff_floor(kmm[i], kml[i], w[i], ctx.gram)
+    with pytest.raises(NotPositiveDefinite, match="3x3"):
+        PowerContext(k, lam)
 
 
 def test_leave_one_out_equality():

