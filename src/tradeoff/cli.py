@@ -345,20 +345,21 @@ def _identity_kernel(rng, perturb: bool = False) -> tuple[float, int]:
     Gram that fails its Cholesky factorization.
 
     The kernel values come from one Gram per (m, d) instance, over the
-    evaluation functionals followed by the data: each row feeds the Schur
-    route, and each extended Gram of {mu} + Lambda is a slice of it.
+    evaluation functionals followed by the data: its data block is the
+    context's Gram, each row feeds the Schur route, and each extended Gram
+    of {mu} + Lambda is a slice of it.
     """
     products, unresolved = [], 0
     for m, d in _KERNEL_SWEEP:
         kernel, lam_set, mus = _kernel_instance(rng, m, d)
         k = len(mus)
+        g_all = gram(kernel, FunctionalSet(mus + list(lam_set)))
         try:
-            ctx = kernel_recovery.PowerContext(kernel, lam_set)
+            ctx = kernel_recovery.PowerContext(kernel, lam_set, g_all[k:, k:])
         except NotPositiveDefinite:
             unresolved += k
             continue
-        g_all = gram(kernel, FunctionalSet(mus + list(lam_set)))
-        evs = [ctx.power_squared(mu, kernel_row=(g_all[i, i], g_all[i, k:]))
+        evs = [ctx.power_squared(mu, kernel_values=(g_all[i, i], g_all[i, k:]))
                for i, mu in enumerate(mus)]
         floor = ctx.roundoff_floor(np.diag(g_all)[:k], g_all[:k, k:],
                                    np.array([ev.lagrange_values for ev in evs]))

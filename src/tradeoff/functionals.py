@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -34,28 +34,33 @@ class Functional:
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
+        for name in _field_names(type(self)):
+            v = getattr(self, name)
+            out[name] = list(v) if isinstance(v, tuple) else v
         return out
 
     @classmethod
     def from_json(cls, d: dict) -> "Functional":
-        missing = [f.name for f in fields(cls) if f.name not in d]
+        names = _field_names(cls)
+        missing = [name for name in names if name not in d]
         if missing:
             raise ValueError(f"{cls.kind} functional {d} lacks key(s) "
                              f"{', '.join(map(repr, missing))}")
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
+        return cls(**{name: d[name] for name in names})
 
     def on_coeffs(self, coeffs: np.ndarray) -> float:
         raise UnsupportedPair(f"cannot apply {self!r} to a Chebyshev expansion")
 
 
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    """A functional class's dataclass field names, read once per class."""
+    return tuple(f.name for f in fields(cls))
+
+
 def _point(x) -> tuple[float, ...]:
-    if np.isscalar(x):
-        x = (float(x),)
-    pt = tuple(float(v) for v in x)
-    if not all(np.isfinite(pt)):
+    pt = (float(x),) if np.isscalar(x) else tuple(map(float, x))
+    if not all(map(math.isfinite, pt)):
         raise ValueError(f"point coordinates must be finite, got {pt}")
     return pt
 

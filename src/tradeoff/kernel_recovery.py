@@ -3,7 +3,6 @@ bordered-Gram power function, and the equality form of the trade-off
 principle (power times Lagrangian norm equals one)."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,27 +40,36 @@ _REPORT_BLOCK = 128
 
 @dataclass(frozen=True)
 class PowerEvaluation:
-    """Squared add-one-in power of one evaluation functional, with the
-    Lagrange values mu(u_j), the kernel row mu^x lambda_j^y K and the
-    bordered-form value of the second route produced along the way."""
+    """Squared add-one-in powers of a block of evaluation functionals, one
+    entry or row each: the Schur-route P^2 (clamped at 0), the Lagrange
+    values mu(u_j), K(mu, mu), the kernel rows mu^x lambda_j^y K, the
+    bordered-form value B of the second route and whether the routes agree;
+    for a single functional, that block's one row."""
 
-    mu: Functional
-    power_squared: float
+    mu: Functional | tuple
+    power_squared: np.ndarray
     lagrange_values: np.ndarray
-    k_mu_mu: float
+    k_mu_mu: np.ndarray
     k_mu_lambda: np.ndarray
-    bordered: float
+    bordered: np.ndarray
+    agree: np.ndarray
 
     @property
-    def excluded(self) -> bool:
+    def excluded(self):
         return self.power_squared <= EXCLUDED_RTOL * self.k_mu_mu
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (rows, n) arrays, one BLAS dot per row,
+    so a row rounds as the vector product a[i] @ b[i]."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def schur_batch(factor: linalg.SpdFactor, kmm: np.ndarray,
                 kml: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Schur-complement powers (clamped at 0) and Lagrange values of a batch
     from the factored data Gram, kmm = K(mu, mu) and kml = K(mu, Lambda);
-    the one symmetric solve behind every batched power."""
+    the symmetric solve behind power_batch, the greedy and the Kansa powers."""
     w = factor.solve(kml.T)
     p2 = kmm - np.einsum("ij,ji->i", kml, w)
     return np.maximum(p2, 0.0), w.T
@@ -71,14 +79,18 @@ class PowerContext:
     """Factorization of the dual Gram of a functional set, reused across
     many evaluation functionals; NotPositiveDefinite if it fails."""
 
-    def __init__(self, kernel, lam_set: FunctionalSet | None):
+    def __init__(self, kernel, lam_set: FunctionalSet | None,
+                 data_gram: np.ndarray | None = None):
+        """data_gram is the Gram of lam_set when the caller already holds it
+        (it must equal gram(kernel, lam_set)); by default it is assembled."""
         self.kernel = kernel
         self.lam_set = lam_set
         if lam_set is None or len(lam_set) == 0:
             self.gram = np.zeros((0, 0))
             self.factor = None
+            self._gram_scale = 0.0
         else:
-            self.gram = gram(kernel, lam_set)
+            self.gram = gram(kernel, lam_set) if data_gram is None else data_gram
             self.factor = linalg.factor_spd(self.gram)
             # max |diag(G)|, the scale of the cross-check's roundoff floor
             self._gram_scale = np.max(np.abs(np.diag(self.gram)))
@@ -118,52 +130,63 @@ class PowerContext:
         p2, lagrange = schur_batch(self.factor, kmm, self.kernel.cross(mus, self.lam_set))
         return p2, lagrange, kmm
 
-    def power_squared(self, mu: Functional, cross_check: bool = True,
-                      kernel_row: tuple | None = None,
-                      lagrange_values: np.ndarray | None = None) -> PowerEvaluation:
-        """Squared power via the Schur complement K_mumu - k^T w, with the
-        Lagrange values w = G^-1 k, and the paper's second route: the
-        bordered quadratic form B = K_mumu - 2 k^T w + w^T G w, the form of
-        (1, -w) over the Gram of {mu} + Lambda.  With cross_check the two
-        routes must agree or ArithmeticError is raised.
+    def power_squared(self, mu, cross_check: bool = True,
+                      kernel_values: tuple | None = None) -> PowerEvaluation:
+        """Squared powers of a block of evaluation functionals mu via the
+        Schur complement K_mumu - k^T w, with the Lagrange values w = G^-1 k,
+        and the paper's second route: the bordered quadratic form
+        B = K_mumu - 2 k^T w + w^T G w, the form of (1, -w) over the Gram of
+        {mu} + Lambda.  One multi-right-hand-side solve gives W, row-wise
+        dots give P^2, and one matmul(W, G) gives B, one entry per row.
+        agree marks the rows whose routes agree within _AGREE_RTOL, with an
+        absolute floor at the backward-error level of their difference
+        w^T (G w - k); with cross_check a disagreement raises ArithmeticError.
 
-        kernel_row is (K(mu, mu), K(mu, Lambda)) when the caller already
-        holds them (they must equal kernel.diag([mu])[0] and
-        kernel.cross([mu], lam_set)[0]; the second is ignored without data);
-        by default they are evaluated here.  lagrange_values is w when the
-        caller has solved for it, as tradeoff_report does for a block of
-        rows at once; by default it is solved for here.
+        A single Functional is the block of one and gets that row.
+        kernel_values is (K(mu, mu), K(mu, Lambda)) when the caller holds
+        them (equal to kernel.diag and kernel.cross of the block; the second
+        is ignored without data); by default they are evaluated here.
         """
-        if kernel_row is None:
-            kmm = self.kernel.diag([mu])[0]
-            kml = None if self.factor is None else self.kernel.cross([mu], self.lam_set)[0]
+        single = isinstance(mu, Functional)
+        mus = (mu,) if single else tuple(mu)
+        n = len(self.gram)
+        if kernel_values is None:
+            kmm = self.kernel.diag(mus)
+            kml = None if self.factor is None else self.kernel.cross(mus, self.lam_set)
         else:
-            kmm, kml = kernel_row
-        kmm = float(kmm)
+            kmm, kml = kernel_values
+        kmm = np.reshape(kmm, len(mus))
         if self.factor is None:
-            return PowerEvaluation(mu, max(kmm, 0.0), np.zeros(0), kmm, np.zeros(0), kmm)
-        w = self.factor.solve(kml) if lagrange_values is None else lagrange_values
-        kw = float(kml @ w)
+            kml = w = np.zeros((len(mus), 0))
+        else:
+            kml = np.reshape(kml, (len(mus), n))
+            w = self.factor.solve(kml.T).T
+        kw = _rowdot(kml, w)
         schur = kmm - kw
-        bordered = kmm - 2.0 * kw + float(w @ self.gram @ w)
-        if cross_check:
-            # the routes differ by w^T (G w - k); allow the backward-error
-            # level of that residual besides the relative tolerance
-            floor = 1e-13 * len(w) * (abs(kmm) + float(w @ w) * self._gram_scale)
-            tol = _AGREE_RTOL * max(abs(schur), abs(bordered)) + floor
-            if abs(bordered - schur) > tol:
-                raise ArithmeticError(
-                    f"power-function routes disagree: schur={schur:.6e} "
-                    f"bordered={bordered:.6e}")
-        return PowerEvaluation(mu, max(schur, 0.0), w, kmm, kml, bordered)
+        bordered = kmm - 2.0 * kw + _rowdot(linalg.matmul(w, self.gram), w)
+        floor = 1e-13 * n * (np.abs(kmm) + _rowdot(w, w) * self._gram_scale)
+        tol = _AGREE_RTOL * np.maximum(np.abs(schur), np.abs(bordered)) + floor
+        # ~(>) so that a NaN difference counts as agreeing
+        agree = ~(np.abs(bordered - schur) > tol)
+        if cross_check and not agree.all():
+            i = int(np.argmin(agree))
+            raise ArithmeticError(
+                f"power-function routes disagree at {mus[i]!r}: "
+                f"schur={schur[i]:.6e} bordered={bordered[i]:.6e}")
+        rows = (np.maximum(schur, 0.0), w, kmm, kml, bordered, agree)
+        if single:
+            return PowerEvaluation(mu, *(v[0] for v in rows))
+        return PowerEvaluation(mus, *rows)
 
     def bordered_power_squared(self, mu: Functional) -> float:
         """The bordered quadratic form route on its own."""
         return self.power_squared(mu, cross_check=False).bordered
 
-    def lagrangian_norm_squared(self, ev: PowerEvaluation) -> float:
-        """Squared norm of the add-one-in Lagrangian u_{mu,Lambda}, from the
-        PowerEvaluation of mu that power_squared returned.
+    def lagrangian_norm_squared(self, ev: PowerEvaluation):
+        """Squared norms of the add-one-in Lagrangians u_{mu,Lambda}, from
+        the PowerEvaluation that power_squared returned: an array with NaN
+        on excluded rows for a block, and a float for a single functional,
+        which raises ExcludedCase if it is excluded.
 
         The Lagrangian is the representer of mu - sum_j mu(u_j) lambda_j
         scaled by 1/P^2, so its squared norm is the bordered form at
@@ -171,12 +194,15 @@ class PowerContext:
         is then B/P^2, the two routes' ratio: a genuine two-route
         consistency check.
         """
-        if ev.excluded:
+        excluded = ev.excluded
+        if np.ndim(excluded) == 0 and excluded:
             raise ExcludedCase(
                 f"power vanishes at {ev.mu!r}; no bump function exists")
-        if self.factor is None:
-            return 1.0 / ev.k_mu_mu
-        return max(ev.bordered, 0.0) / ev.power_squared ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            norm2 = (1.0 / ev.k_mu_mu if self.factor is None
+                     else np.maximum(ev.bordered, 0.0) / ev.power_squared ** 2)
+        # [()] turns the 0-d result of a single functional into a scalar
+        return np.where(excluded, np.nan, norm2)[()]
 
 
 def power_squared(kernel, lam_set: FunctionalSet | None, mu: Functional) -> PowerEvaluation:
@@ -193,45 +219,30 @@ def tradeoff_report(kernel, lam_set: FunctionalSet | None, eval_set) -> list[Tra
     Excluded (reproduced) functionals are flagged, not fatal, and so are
     unresolved ones, whose power lies below its roundoff floor F
     (PowerContext.roundoff_floor): F > UNRESOLVED_RTOL * P^2, or whose
-    Schur and bordered routes disagree (power_squared's cross-check).  An
+    Schur and bordered routes disagree (PowerEvaluation.agree).  An
     unresolved row keeps its Schur power and the norm read off its bordered
     value, so its product is their ratio, but double precision does not
     decide them.  An excluded row stays excluded whatever its routes give.
 
-    The rows come in blocks of _REPORT_BLOCK.  Each block takes one diag
-    and one cross call, which spreads the kernel's per-call cost (layout,
-    Vandermonde) over the block, one multi-right-hand-side solve of the
-    factored Gram for the block's Lagrange values, and one product for its
-    floors.  Each row then gets its own Schur value and bordered-form
-    cross-check from power_squared, and its norm is read off that bordered
-    value.  The block solve rounds differently from a per-row one, so a
-    row's power may differ from what power_squared alone gives by up to F.
+    The rows come in blocks of _REPORT_BLOCK, and each block is one array
+    pass: one power_squared call (one diag and one cross call, which spread
+    the kernel's per-call cost over the block, one multi-right-hand-side
+    solve of the factored Gram, the block's Schur values, bordered values
+    and route checks), one lagrangian_norm_squared call, and one product
+    for the floors.  The block solve rounds differently from a per-row one,
+    so a row's power may differ from what power_squared of that functional
+    alone gives by up to F.
     """
     ctx = PowerContext(kernel, lam_set)
     mus = list(eval_set)
     out = []
     for start in range(0, len(mus), _REPORT_BLOCK):
-        block = mus[start:start + _REPORT_BLOCK]
-        kmm = kernel.diag(block)
-        if ctx.factor is None:
-            kml = w = np.empty((len(block), 0))
-        else:
-            kml = kernel.cross(block, lam_set)
-            w = ctx.factor.solve(kml.T).T
-        floor = ctx.roundoff_floor(kmm, kml, w)
-        for mu, kmm_i, kml_i, w_i, floor_i in zip(block, kmm, kml, w, floor):
-            args = dict(kernel_row=(kmm_i, kml_i), lagrange_values=w_i)
-            try:
-                ev, disagree = ctx.power_squared(mu, **args), False
-            except ArithmeticError:
-                ev, disagree = ctx.power_squared(mu, cross_check=False, **args), True
-            if ev.excluded:
-                norm, flag = math.nan, FLAG_EXCLUDED
-            else:
-                norm = math.sqrt(ctx.lagrangian_norm_squared(ev))
-                flag = (FLAG_UNRESOLVED
-                        if disagree or floor_i > UNRESOLVED_RTOL * ev.power_squared
-                        else FLAG_OK)
-            out.append(TradeoffReport(mu=mu, power=math.sqrt(ev.power_squared),
-                                      stability_norm=norm, flag=flag))
+        ev = ctx.power_squared(mus[start:start + _REPORT_BLOCK], cross_check=False)
+        norm = np.sqrt(ctx.lagrangian_norm_squared(ev))
+        floor = ctx.roundoff_floor(ev.k_mu_mu, ev.k_mu_lambda, ev.lagrange_values)
+        unresolved = ~ev.agree | (floor > UNRESOLVED_RTOL * ev.power_squared)
+        flags = np.where(ev.excluded, FLAG_EXCLUDED,
+                         np.where(unresolved, FLAG_UNRESOLVED, FLAG_OK))
+        out += map(TradeoffReport, ev.mu, np.sqrt(ev.power_squared).tolist(),
+                   norm.tolist(), flags.tolist())
     return out

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import ddot, dgemm, dgemv
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -80,7 +80,7 @@ def matmul(a, b) -> np.ndarray:
 @dataclass(frozen=True)
 class SpdFactor:
     """Lower Cholesky factorization of a symmetric positive definite A, as
-    scipy's (c, lower) pair."""
+    scipy's (c, lower) pair, from LAPACK potrf."""
 
     cho: tuple
 
@@ -93,7 +93,7 @@ class SpdFactor:
         return self.cho[0].shape[0]
 
     def solve(self, b) -> np.ndarray:
-        """Solve A x = b (b a vector or a matrix) by one ``cho_solve``; the
+        """Solve A x = b (b a vector or a matrix) by one LAPACK potrs; the
         factor was checked finite when it was built, so only b is checked."""
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
@@ -101,7 +101,7 @@ class SpdFactor:
                 f"rhs has {b.shape[0]} rows, matrix is {self.n}x{self.n}")
         if not np.isfinite(b).all():
             raise DimensionMismatch("rhs entries must be finite")
-        return scipy.linalg.cho_solve(self.cho, b, check_finite=False)
+        return dpotrs(self.cho[0], b, lower=self.cho[1])[0]
 
     def inverse_diagonal(self) -> np.ndarray:
         """Diagonal of A^-1, formed from the stored Cholesky factor by LAPACK
@@ -123,12 +123,12 @@ def factor_spd(a) -> SpdFactor:
         raise DimensionMismatch(f"matrix is {n}x{m}, expected square")
     if n == 0:
         raise DimensionMismatch("matrix is empty")
-    try:
-        return SpdFactor(cho=scipy.linalg.cho_factor(a, lower=True, check_finite=False))
-    except scipy.linalg.LinAlgError:
+    c, info = dpotrf(a, lower=1, clean=0)
+    if info:
         raise NotPositiveDefinite(
             f"Cholesky factorization of the {n}x{n} Gram failed: "
-            "not positive definite in double precision") from None
+            "not positive definite in double precision")
+    return SpdFactor(cho=(c, True))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -330,9 +331,9 @@ def test_kernel_suite_evaluates_one_gram_per_instance(monkeypatch):
 
     monkeypatch.setattr(cli, "MaternSobolevKernel", CountingMatern)
     cli._identity_kernel(np.random.default_rng(0))
-    # per (m, d) instance: the data Gram of the context and the one Gram
-    # over the evaluation functionals and the data; no diag
-    assert calls == {"cross": 2 * len(cli._KERNEL_SWEEP)}
+    # per (m, d) instance: the one Gram over the evaluation functionals and
+    # the data, whose data block is the context's Gram; no diag
+    assert calls == {"cross": len(cli._KERNEL_SWEEP)}
 
 
 def test_greedy_runner(tmp_path):
@@ -402,14 +403,14 @@ def test_cli_main_audit_counts_unresolved_rows(tmp_path, capsys):
 
 def test_cli_main_audit_counts_a_route_disagreement_as_unresolved(tmp_path, capsys,
                                                                  monkeypatch):
-    # the cross-check of the first row raises: the audit still exits 0 with
+    # the routes of the first row disagree: the audit still exits 0 with
     # every row, and that row alone is counted and flagged unresolved
     power_squared = kernel_recovery.PowerContext.power_squared
 
-    def disagreeing(self, mu, cross_check=True, **kwargs):
-        if mu.x == (0.25,) and cross_check:
-            raise ArithmeticError("power-function routes disagree")
-        return power_squared(self, mu, cross_check=cross_check, **kwargs)
+    def disagreeing(self, *args, **kwargs):
+        ev = power_squared(self, *args, **kwargs)
+        return dataclasses.replace(
+            ev, agree=ev.agree & np.array([mu.x != (0.25,) for mu in ev.mu]))
 
     monkeypatch.setattr(kernel_recovery.PowerContext, "power_squared", disagreeing)
     spec = {

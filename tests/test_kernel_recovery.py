@@ -1,10 +1,11 @@
+import dataclasses
 import math
 from collections import Counter
 from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -13,6 +14,7 @@ from tradeoff.errors import ExcludedCase, NotPositiveDefinite
 from tradeoff.functionals import DerivEval, FunctionalSet, LaplacianEval, PointEval
 from tradeoff.kernel_recovery import (
     PowerContext,
+    PowerEvaluation,
     lagrangian_norm_squared,
     power_squared,
     tradeoff_report,
@@ -153,10 +155,10 @@ def test_route_disagreement_flags_only_its_row(monkeypatch):
     plain = tradeoff_report(k, lam, evals)
     power_squared = PowerContext.power_squared
 
-    def disagreeing(self, mu, cross_check=True, **kwargs):
-        if mu is evals[2] and cross_check:
-            raise ArithmeticError("power-function routes disagree")
-        return power_squared(self, mu, cross_check=cross_check, **kwargs)
+    def disagreeing(self, *args, **kwargs):
+        ev = power_squared(self, *args, **kwargs)
+        return dataclasses.replace(
+            ev, agree=ev.agree & np.array([mu is not evals[2] for mu in ev.mu]))
 
     monkeypatch.setattr(PowerContext, "power_squared", disagreeing)
     reports = tradeoff_report(k, lam, evals)
@@ -193,15 +195,26 @@ def _row_by_row_report(kernel, lam_set, mus):
     return out, evs
 
 
+# the PowerEvaluation fields that hold one entry or row per functional
+_ROW_FIELDS = [f.name for f in dataclasses.fields(PowerEvaluation)[1:]]
+
+
+def _rows(ev):
+    """A block's PowerEvaluation as one PowerEvaluation per row."""
+    return [PowerEvaluation(mu, *(getattr(ev, name)[i] for name in _ROW_FIELDS))
+            for i, mu in enumerate(ev.mu)]
+
+
 def _block_evaluations(kernel, lam_set, mus):
-    """tradeoff_report's reports and the PowerEvaluation it made for each
-    row, recorded as it makes them."""
+    """tradeoff_report's reports and the evaluation it made for each row,
+    recorded block by block as it makes them."""
     evs = []
     plain = PowerContext.power_squared
 
     def recording(self, *args, **kwargs):
-        evs.append(plain(self, *args, **kwargs))
-        return evs[-1]
+        ev = plain(self, *args, **kwargs)
+        evs.extend(_rows(ev))
+        return ev
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(PowerContext, "power_squared", recording)
@@ -343,6 +356,85 @@ def test_report_floor_equals_the_oracle_floor(problem):
             assert r.flag == (FLAG_UNRESOLVED if unresolved else FLAG_OK), r.mu
     flags = Counter(r.flag for r in reports)
     assert flags[FLAG_UNRESOLVED] and flags[FLAG_OK] > flags[FLAG_UNRESOLVED]
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("problem", [_near_site_matern, _hermite_1d, _no_data])
+def test_a_batch_of_one_is_the_single_functional_call_bit_for_bit(problem):
+    # the single-functional call is the block of one, not a second route:
+    # every field and the norm carry the same bits, and where the block
+    # reads NaN for an excluded row the single call raises
+    kernel, lam, mus = problem()
+    ctx = PowerContext(kernel, lam)
+    for mu in mus[:60]:
+        block = ctx.power_squared([mu], cross_check=False)
+        one = ctx.power_squared(mu, cross_check=False)
+        assert block.mu == (mu,) and one.mu is mu
+        for name in _ROW_FIELDS:
+            assert _bits(getattr(block, name)[0]) == _bits(getattr(one, name)), (mu, name)
+        norm2 = ctx.lagrangian_norm_squared(block)
+        if one.excluded:
+            assert np.isnan(norm2[0])
+            with pytest.raises(ExcludedCase):
+                ctx.lagrangian_norm_squared(one)
+        else:
+            assert _bits(norm2[0]) == _bits(ctx.lagrangian_norm_squared(one)), mu
+
+
+def _random_problem(seed):
+    """Matern point data of random (m, d) and size, 20 scattered rows and 10
+    rows 1e-6 to 1e-2 from a site, where the power nears its floor."""
+    rng = np.random.default_rng(seed)
+    m, d = int(rng.integers(3, 6)), int(rng.integers(1, 3))
+    sites = rng.uniform(0.0, 1.0, size=(int(rng.integers(4, 11 if d == 1 else 31)), d))
+    near = (sites[rng.integers(0, len(sites), 10)]
+            + rng.normal(size=(10, d)) * 10.0 ** rng.uniform(-6.0, -2.0, (10, 1)))
+    rows = np.vstack([rng.uniform(-0.2, 1.2, size=(20, d)), near])
+    return (MaternSobolevKernel(m, d, 0.5), [PointEval(tuple(p)) for p in sites],
+            [PointEval(tuple(p)) for p in rows])
+
+
+def _powers_and_floors(kernel, sites, mus):
+    """The report's rows, their P^2 and their roundoff floors F; rejects the
+    example when the data Gram fails its Cholesky factorization."""
+    lam = FunctionalSet(sites)
+    try:
+        reports, evs = _block_evaluations(kernel, lam, mus)
+    except NotPositiveDefinite:
+        assume(False)
+    return reports, np.array([ev.power_squared for ev in evs]), np.array(_floors(kernel, lam, evs))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_adding_a_data_site_never_raises_a_power_beyond_its_floor(seed):
+    # nested data: P^2 with one more site is at most P^2 without it, up to
+    # the row's floor in the larger report
+    kernel, sites, mus = _random_problem(seed)
+    _, fewer, _ = _powers_and_floors(kernel, sites[:-1], mus)
+    _, more, floors = _powers_and_floors(kernel, sites, mus)
+    assert np.all(more - fewer <= floors), seed
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_permuting_the_data_moves_each_power_at_most_its_floor(seed, data):
+    kernel, sites, mus = _random_problem(seed)
+    _, p2, floors = _powers_and_floors(kernel, sites, mus)
+    order = data.draw(st.permutations(range(len(sites))))
+    _, moved, _ = _powers_and_floors(kernel, [sites[i] for i in order], mus)
+    assert np.all(np.abs(moved - p2) <= floors), seed
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_every_ok_row_holds_the_product_identity(seed):
+    kernel, sites, mus = _random_problem(seed)
+    reports, _, _ = _powers_and_floors(kernel, sites, mus)
+    assert all(abs(r.product - 1.0) <= 1e-5 for r in reports if r.flag == FLAG_OK), seed
 
 
 def test_near_coincident_sites_raise_not_positive_definite():
