@@ -489,7 +489,8 @@ def run_greedy(config: ExperimentConfig) -> dict:
         sel_lines.append(f"{idx}," + ",".join(f"{v:.17g}" for v in f.x))
     _write(config.out_dir / "greedy_selected.csv", "\n".join(sel_lines) + "\n")
     return {"steps": len(trace.selected), "stop_reason": trace.stop_reason,
-            "final_max_power": trace.max_powers[-1]}
+            "final_max_power": trace.max_powers[-1],
+            "unresolved_from": trace.unresolved_from}
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,27 @@ def schur_batch(factor: linalg.SpdFactor, kmm: np.ndarray,
     return np.maximum(p2, 0.0), w.T
 
 
+def roundoff_floor(abs_gram: np.ndarray, kmm: np.ndarray, kml: np.ndarray,
+                   w: np.ndarray) -> np.ndarray:
+    """Roundoff floor of each squared power of a batch against the data
+    Gram G, from |G| (abs_gram, entrywise) and the batch's K(mu, mu),
+    K(mu, Lambda) and Lagrange values (one row each):
+
+        F = n u (|K_mumu| + 2 |w|^T |k| + |w|^T |G| |w|)
+
+    for n data functionals and u = 2^-53: the first-order error of
+    P^2 = K_mumu - k^T w when the kernel values carry rounding errors of
+    relative size u.  |W| |G| is one product for the batch.
+    """
+    n = len(abs_gram)
+    if n == 0:
+        return np.zeros(len(kmm))
+    aw = np.abs(w)
+    quad = np.einsum("ij,ij->i", linalg.matmul(aw, abs_gram), aw)
+    cross = np.einsum("ij,ij->i", aw, np.abs(kml))
+    return n * _U * (np.abs(kmm) + 2.0 * cross + quad)
+
+
 class PowerContext:
     """Factorization of the dual Gram of a functional set, reused across
     many evaluation functionals; NotPositiveDefinite if it fails."""
@@ -100,22 +121,8 @@ class PowerContext:
         return np.abs(self.gram)
 
     def roundoff_floor(self, kmm: np.ndarray, kml: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Roundoff floor of each squared power of a batch, from its
-        K(mu, mu), K(mu, Lambda) and Lagrange values (one row each):
-
-            F = n u (|K_mumu| + 2 |w|^T |k| + |w|^T |G| |w|)
-
-        for n data functionals and u = 2^-53: the first-order error of
-        P^2 = K_mumu - k^T w when the kernel values carry rounding errors of
-        relative size u.  |W| |G| is one product for the batch.
-        """
-        n = len(self.gram)
-        if n == 0:
-            return np.zeros(len(kmm))
-        aw = np.abs(w)
-        quad = np.einsum("ij,ij->i", linalg.matmul(aw, self._abs_gram), aw)
-        cross = np.einsum("ij,ij->i", aw, np.abs(kml))
-        return n * _U * (np.abs(kmm) + 2.0 * cross + quad)
+        """roundoff_floor over this context's data Gram."""
+        return roundoff_floor(self._abs_gram, kmm, kml, w)
 
     def power_batch(self, mus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Schur-complement powers for a batch of evaluation functionals.

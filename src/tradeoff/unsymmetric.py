@@ -106,6 +106,12 @@ class UnsymmetricRecovery:
     rtol: float
     rank: int
     vandermonde: np.ndarray = field(repr=False)  # A, M x N
+    # point evaluations at the trial points; built from trial when not given
+    trial_functionals: FunctionalSet | tuple | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.trial_functionals is None:
+            object.__setattr__(self, "trial_functionals", _trial_set(self.trial))
 
     @property
     def m(self) -> int:
@@ -114,10 +120,6 @@ class UnsymmetricRecovery:
     @property
     def n(self) -> int:
         return len(self.trial)
-
-    @cached_property
-    def trial_functionals(self) -> FunctionalSet | tuple:
-        return _trial_set(self.trial)
 
     @cached_property
     def context(self) -> PowerContext:
@@ -143,7 +145,7 @@ def build_kansa(setup: PoissonSetup, rtol: float | None = None) -> UnsymmetricRe
     return UnsymmetricRecovery(
         kernel=setup.kernel, functionals=lam_set, trial=setup.trial,
         coefficient_map=dec.pinv(rtol), rtol=rtol, rank=dec.rank(rtol),
-        vandermonde=a)
+        vandermonde=a, trial_functionals=trial)
 
 
 def _kansa_p2(kmm, kml, b, gram) -> np.ndarray:

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
+
 from tradeoff import linalg
 from tradeoff.errors import NotPositiveDefinite
 from tradeoff.functionals import FunctionalSet, PointEval
 from tradeoff.greedy import STOP_SINGULAR, p_greedy
-from tradeoff.kernel_recovery import PowerContext
+from tradeoff.kernel_recovery import UNRESOLVED_RTOL, PowerContext
 from tradeoff.kernels import ChebWeightKernel, MaternSobolevKernel
 from tradeoff.weights import weight_array
 
@@ -88,6 +90,79 @@ def test_matches_from_scratch_on_scattered_sets(data, d, m, tolerance):
     cands = FunctionalSet([PointEval(tuple(v / 1000 for v in s)) for s in sites])
     steps = data.draw(st.integers(1, len(sites)))
     _assert_matches_oracle(MaternSobolevKernel(m, d, 1.0), cands, steps, tolerance)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2]), m=st.integers(3, 6),
+       c=st.floats(0.1, 10.0), tolerance=st.sampled_from([0.0, 1e-3]))
+def test_lazy_steps_match_from_scratch_on_larger_scattered_sets(data, d, m, c, tolerance):
+    # 40-150 candidates, more than one block of re-solved candidates, so a
+    # step skips the ones whose bound cannot win
+    sites = data.draw(st.lists(st.tuples(*[st.integers(0, 1000)] * d),
+                               min_size=40, max_size=150, unique=True))
+    cands = FunctionalSet([PointEval(tuple(v / 1000 for v in s)) for s in sites])
+    steps = data.draw(st.integers(1, 40))
+    _assert_matches_oracle(MaternSobolevKernel(m, d, c), cands, steps, tolerance)
+
+
+def test_lazy_steps_solve_fewer_right_hand_sides_than_the_remaining(monkeypatch):
+    # re-solving every remaining candidate at steps 1..39 would take
+    # sum(n - k) right-hand sides; the bounds skip most of them, and the
+    # picks and powers stay the from-scratch ones
+    counts = Counter()
+    solve = linalg.SpdFactor.solve
+
+    def counted_solve(self, b):
+        counts["rhs"] += np.shape(b)[1]
+        return solve(self, b)
+
+    monkeypatch.setattr(linalg.SpdFactor, "solve", counted_solve)
+    n, steps = 400, 40
+    trace = p_greedy(MaternSobolevKernel(5, 2, 1.0), _grid_candidates(20), steps)
+    assert counts["rhs"] < sum(n - k for k in range(1, steps))
+    monkeypatch.undo()
+    _assert_matches_oracle(MaternSobolevKernel(5, 2, 1.0), _grid_candidates(20), steps)
+    assert trace.unresolved_from is None
+
+
+def _first_unresolved_from_scratch(kernel, trace):
+    """The first step whose pick has F > UNRESOLVED_RTOL * P^2, with F the
+    row-by-row floor of tests/oracle.py from a fresh PowerContext on the
+    prefix; None if there is none."""
+    for step, pick in enumerate(trace.selected):
+        if not step:
+            continue
+        prefix = FunctionalSet(trace.selected[:step])
+        ctx = PowerContext(kernel, prefix)
+        p2, w, kmm = ctx.power_batch([pick])
+        floor = oracle.roundoff_floor(kmm[0], kernel.cross([pick], prefix)[0], w[0], ctx.gram)
+        if floor > UNRESOLVED_RTOL * p2[0]:
+            return step
+    return None
+
+
+def test_unresolved_from_matches_a_per_step_from_scratch_floor(tmp_path):
+    # the flat 6x6 grid (c = 10): the picks fall below their roundoff floor
+    # at step 7, long before the selected Gram fails at step 21; there the
+    # powers move by roundoff from step to step, and the lazy steps still
+    # pick the from-scratch maxima bit for bit.  The CLI summary reports the
+    # same step
+    from tradeoff.cli import ExperimentConfig, run_greedy
+
+    kernel = MaternSobolevKernel(5, 2, 10.0)
+    trace = _assert_matches_oracle(kernel, _grid_candidates(6), 36)
+    assert trace.stop_reason == STOP_SINGULAR
+    assert trace.unresolved_from == _first_unresolved_from_scratch(kernel, trace) == 7
+    config = {"grid_side": 6, "max_steps": 36, "m": 5, "d": 2, "c": 10.0}
+    summary = run_greedy(ExperimentConfig("greedy", params=config, out_dir=tmp_path))
+    assert summary["unresolved_from"] == 7
+
+
+def test_unresolved_from_is_none_when_every_pick_is_resolved():
+    kernel = MaternSobolevKernel(5, 2, 1.0)
+    trace = p_greedy(kernel, _grid_candidates(10), max_steps=25)
+    assert trace.unresolved_from is None
+    assert _first_unresolved_from_scratch(kernel, trace) is None
 
 
 def test_chebweight_choices_attain_the_oracle_maximum():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import gamma, k0, k1, kv
 
+import oracle
+
 from tradeoff import kernels
 from tradeoff.errors import UnsupportedPair
 from tradeoff.functionals import (
@@ -213,6 +215,48 @@ def test_small_distance_terms_against_mpmath(p, a):
         r = mp.mpf(si)
         ref = r ** (p + a) * mp.besselk(abs(a), r)
         assert abs((mp.mpf(gi) - ref) / ref) <= 1e-10, (si, gi)
+
+
+# kernel arguments s = r/c from below the small-distance switch at 1e-6 to 50
+_ORACLE_S = [3e-7, 9.9e-7, 1.01e-6, 1e-4, 0.03, 0.7, 3.0, 12.0, 50.0]
+
+
+@pytest.mark.parametrize("d,m,c", [(1, 3, 1.0), (1, 4, 0.3), (1, 5, 1.0), (2, 4, 0.3),
+                                   (2, 5, 1.0)])
+def test_cross_against_the_50_digit_derivative_oracle(d, m, c):
+    # one cross call against tests/oracle.py: 1-d derivative orders 0-2 on
+    # either side with the second site on either side of the first, and 2-d
+    # Laplacian against a point and against a Laplacian.  Error bound: 1e-11
+    # of the Cauchy-Schwarz scale sqrt(K(lam, lam) K(mu, mu)); measured at
+    # most 7.1e-12 just below s = 1e-6, where leading series terms replace
+    # the Bessel values, and 2.5e-13 elsewhere
+    pytest.importorskip("mpmath")
+    k = MaternSobolevKernel(m, d, c)
+    ref = oracle.MaternPointOracle(m, d, c)
+    if d == 1:
+        lam = [DerivEval(0.3, a) for a in range(3)]
+        mus = [DerivEval(0.3 + side * s * c, b)
+               for s in _ORACLE_S for side in (1, -1) for b in range(3)]
+    else:
+        angles = np.linspace(0.0, 2.0 * np.pi, len(_ORACLE_S), endpoint=False)
+        sites = [(0.3 + s * c * np.cos(t), 0.4 + s * c * np.sin(t))
+                 for s, t in zip(_ORACLE_S, angles)]
+        lam = [PointEval((0.3, 0.4)), LaplacianEval((0.3, 0.4))]
+        mus = [f(x) for x in sites for f in (PointEval, LaplacianEval)]
+    got = k.cross(lam, mus)
+    scale = np.sqrt(np.outer(k.diag(lam), k.diag(mus)))
+    checked = 0
+    for i, f in enumerate(lam):
+        for j, g in enumerate(mus):
+            if f.order + g.order == 0 or f.order + g.order >= 2 * k.nu:
+                continue
+            if d == 1:
+                exact = ref.derivative(f.x, f.order, g.x, g.order)
+            else:
+                exact = ref.laplacian(f.x, g.x, (f.order + g.order) // 2)
+            assert abs(got[i, j] - exact) <= 1e-11 * scale[i, j], (f, g, got[i, j])
+            checked += 1
+    assert checked >= 3 * len(_ORACLE_S)
 
 
 def test_unsupported_applications():

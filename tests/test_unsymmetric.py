@@ -142,6 +142,14 @@ def test_kansa_empty_trial_gives_kmumu():
     assert pseudo_lagrangian_norms(rec).tolist() == [0.0]
 
 
+def test_build_kansa_hands_the_setup_trial_set_to_the_recovery():
+    # the trial point evaluations are built once, by the setup
+    setup = PoissonSetup.regular(MaternSobolevKernel(5, 2, 1.0), n_side=4, n_boundary=8)
+    rec = build_kansa(setup)
+    assert rec.trial_functionals is setup.trial_functionals
+    assert list(rec.trial_functionals) == [PointEval(tuple(p)) for p in setup.trial]
+
+
 def test_kansa_never_beats_symmetric():
     k = MaternSobolevKernel(5, 2, 1.0)
     setup = PoissonSetup.regular(k, n_side=4, n_boundary=8)
