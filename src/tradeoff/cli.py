@@ -346,8 +346,8 @@ def _identity_kernel(rng, perturb: bool = False) -> tuple[float, int]:
 
     The kernel values come from one Gram per (m, d) instance, over the
     evaluation functionals followed by the data: its data block is the
-    context's Gram, each row feeds the Schur route, and each extended Gram
-    of {mu} + Lambda is a slice of it.
+    context's Gram, its evaluation rows feed one block power_squared call,
+    and each extended Gram of {mu} + Lambda is a slice of it.
     """
     products, unresolved = [], 0
     for m, d in _KERNEL_SWEEP:
@@ -359,15 +359,14 @@ def _identity_kernel(rng, perturb: bool = False) -> tuple[float, int]:
         except NotPositiveDefinite:
             unresolved += k
             continue
-        evs = [ctx.power_squared(mu, kernel_values=(g_all[i, i], g_all[i, k:]))
-               for i, mu in enumerate(mus)]
-        floor = ctx.roundoff_floor(np.diag(g_all)[:k], g_all[:k, k:],
-                                   np.array([ev.lagrange_values for ev in evs]))
+        kmm, kml = np.diag(g_all)[:k], g_all[:k, k:]
+        ev = ctx.power_squared(mus, kernel_values=(kmm, kml))
+        floor = ctx.roundoff_floor(kmm, kml, ev.lagrange_values)
         data = list(range(k, k + len(lam_set)))
-        for i, ev in enumerate(evs):
+        for i, (p2, excluded) in enumerate(zip(ev.power_squared, ev.excluded)):
             # a NaN floor or power is not unresolved: its product stays NaN
-            if ev.excluded or floor[i] > kernel_recovery.UNRESOLVED_RTOL * ev.power_squared:
-                unresolved += not ev.excluded
+            if excluded or floor[i] > kernel_recovery.UNRESOLVED_RTOL * p2:
+                unresolved += not excluded
                 continue
             g = g_all[np.ix_([i] + data, [i] + data)]
             if perturb:
@@ -379,7 +378,7 @@ def _identity_kernel(rng, perturb: bool = False) -> tuple[float, int]:
             except NotPositiveDefinite:
                 unresolved += 1
                 continue
-            products.append(ev.power_squared * norm2)
+            products.append(p2 * norm2)
     return _worst([np.array(products)]), unresolved
 
 
@@ -522,6 +521,13 @@ _RUNNERS = {
 }
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take only non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 @functools.cache  # built once per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -539,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None,
                        help="JSON file with parameter overrides")
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         if name == "identities":
             p.add_argument("--suite", action="append", dest="suites",
                            choices=IDENTITY_SUITES,

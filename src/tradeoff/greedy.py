@@ -145,7 +145,8 @@ def _lazy_step(factor, abs_gram, kmm, cols, bound, n_remaining) -> tuple[int, fl
         if not len(block):
             break
         kml = cols[block]
-        p2, w = schur_batch(factor, kmm[block], kml)
+        schur, w = schur_batch(factor, kmm[block], kml)
+        p2 = np.maximum(schur, 0.0)
         floor = roundoff_floor(abs_gram, kmm[block], kml, w)
         bound[block] = p2 + floor
         solved.append((block, p2, floor))

@@ -1,6 +1,13 @@
 """Optimal kernel recovery: generalized interpolation, Lagrangians, the
 bordered-Gram power function, and the equality form of the trade-off
-principle (power times Lagrangian norm equals one)."""
+principle (power times Lagrangian norm equals one).
+
+One route per quantity: schur_batch gives every Schur power
+P^2 = K_mumu - k^T w and the Lagrange values w = G^-1 k; _bordered_form
+gives ||mu - sum_j c_j lambda_j||^2 = K_mumu - 2 k^T c + c^T G c, minimal
+at c = w, where it is P^2 (the second route); at Kansa's pseudo-Lagrange
+values it is the Kansa power (unsymmetric).
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -67,12 +74,18 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def schur_batch(factor: linalg.SpdFactor, kmm: np.ndarray,
                 kml: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Schur-complement powers (clamped at 0) and Lagrange values of a batch
-    from the factored data Gram, kmm = K(mu, mu) and kml = K(mu, Lambda);
-    the symmetric solve behind power_batch, the greedy and the Kansa powers."""
-    w = factor.solve(kml.T)
-    p2 = kmm - np.einsum("ij,ji->i", kml, w)
-    return np.maximum(p2, 0.0), w.T
+    """Schur values K_mumu - k^T w (not clamped) and Lagrange values
+    w = G^-1 k, one row each, from the factored data Gram, kmm = K(mu, mu)
+    and kml = K(mu, Lambda); a row rounds the same in any batch."""
+    w = factor.solve(kml.T).T
+    return kmm - _rowdot(kml, w), w
+
+
+def _bordered_form(kmm: np.ndarray, kml: np.ndarray, c: np.ndarray,
+                   gram: np.ndarray) -> np.ndarray:
+    """K_mumu - 2 k^T c + c^T G c (not clamped) for each coefficient row c
+    against the data Gram G."""
+    return kmm - 2.0 * _rowdot(kml, c) + _rowdot(linalg.matmul(c, gram), c)
 
 
 def roundoff_floor(abs_gram: np.ndarray, kmm: np.ndarray, kml: np.ndarray,
@@ -125,26 +138,18 @@ class PowerContext:
         return roundoff_floor(self._abs_gram, kmm, kml, w)
 
     def power_batch(self, mus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Schur-complement powers for a batch of evaluation functionals.
-
-        Returns (power_squared, lagrange_values, k_mu_mu); lagrange_values
-        has one row per functional.
-        """
-        mus = list(mus)
-        kmm = self.kernel.diag(mus)
-        if self.factor is None:
-            return np.maximum(kmm, 0.0), np.zeros((len(mus), 0)), kmm
-        p2, lagrange = schur_batch(self.factor, kmm, self.kernel.cross(mus, self.lam_set))
-        return p2, lagrange, kmm
+        """(power_squared, lagrange_values, k_mu_mu) of the block
+        power_squared(mus) without its cross-check."""
+        ev = self.power_squared(list(mus), cross_check=False)
+        return ev.power_squared, ev.lagrange_values, ev.k_mu_mu
 
     def power_squared(self, mu, cross_check: bool = True,
                       kernel_values: tuple | None = None) -> PowerEvaluation:
         """Squared powers of a block of evaluation functionals mu via the
-        Schur complement K_mumu - k^T w, with the Lagrange values w = G^-1 k,
-        and the paper's second route: the bordered quadratic form
-        B = K_mumu - 2 k^T w + w^T G w, the form of (1, -w) over the Gram of
-        {mu} + Lambda.  One multi-right-hand-side solve gives W, row-wise
-        dots give P^2, and one matmul(W, G) gives B, one entry per row.
+        Schur complement K_mumu - k^T w (schur_batch), with the Lagrange
+        values w = G^-1 k, and the paper's second route: the bordered form
+        B = K_mumu - 2 k^T w + w^T G w (_bordered_form at c = w), the form
+        of (1, -w) over the Gram of {mu} + Lambda, one entry per row.
         agree marks the rows whose routes agree within _AGREE_RTOL, with an
         absolute floor at the backward-error level of their difference
         w^T (G w - k); with cross_check a disagreement raises ArithmeticError.
@@ -165,12 +170,11 @@ class PowerContext:
         kmm = np.reshape(kmm, len(mus))
         if self.factor is None:
             kml = w = np.zeros((len(mus), 0))
+            schur = kmm
         else:
             kml = np.reshape(kml, (len(mus), n))
-            w = self.factor.solve(kml.T).T
-        kw = _rowdot(kml, w)
-        schur = kmm - kw
-        bordered = kmm - 2.0 * kw + _rowdot(linalg.matmul(w, self.gram), w)
+            schur, w = schur_batch(self.factor, kmm, kml)
+        bordered = _bordered_form(kmm, kml, w, self.gram)
         floor = 1e-13 * n * (np.abs(kmm) + _rowdot(w, w) * self._gram_scale)
         tol = _AGREE_RTOL * np.maximum(np.abs(schur), np.abs(bordered)) + floor
         # ~(>) so that a NaN difference counts as agreeing
@@ -184,10 +188,6 @@ class PowerContext:
         if single:
             return PowerEvaluation(mu, *(v[0] for v in rows))
         return PowerEvaluation(mus, *rows)
-
-    def bordered_power_squared(self, mu: Functional) -> float:
-        """The bordered quadratic form route on its own."""
-        return self.power_squared(mu, cross_check=False).bordered
 
     def lagrangian_norm_squared(self, ev: PowerEvaluation):
         """Squared norms of the add-one-in Lagrangians u_{mu,Lambda}, from

@@ -12,7 +12,7 @@ import numpy as np
 from . import kernels, linalg
 from .errors import NoBumpExists, at_first_row
 from .functionals import FunctionalSet, LaplacianEval, PointEval
-from .kernel_recovery import PowerContext, schur_batch
+from .kernel_recovery import PowerContext, _bordered_form, schur_batch
 
 # sigma_k counts as zero below this fraction of sigma_max
 RANK_RTOL = 1e-12
@@ -148,23 +148,14 @@ def build_kansa(setup: PoissonSetup, rtol: float | None = None) -> UnsymmetricRe
         vandermonde=a, trial_functionals=trial)
 
 
-def _kansa_p2(kmm, kml, b, gram) -> np.ndarray:
-    """K_mumu - 2 b^T K_{Lambda,mu} + b^T K_{Lambda,Lambda} b per row,
-    clamped at 0; b holds the pseudo-Lagrange values mu(a_k).  The quadratic
-    form is one matrix product (BLAS, linalg.matmul) and a row-wise dot."""
-    p2 = (kmm - 2.0 * np.einsum("ij,ij->i", b, kml)
-          + np.einsum("ij,ij->i", linalg.matmul(b, gram), b))
-    return np.maximum(p2, 0.0)
-
-
 def kansa_power_squared_batch(rec: UnsymmetricRecovery, mus) -> tuple[np.ndarray, np.ndarray]:
     """Squared powers (p2_unsym, p2_sym) of the Kansa recovery and of
     symmetric collocation from the same data functionals, one per mu.
 
-    Both share one kernel row K(mu, Lambda), one K(mu, mu) and the one data
-    Gram of rec.context; only the coefficient row differs: the
-    pseudo-Lagrange values b = mu(v) C against the Lagrange values of the
-    symmetric solve, whose powers are power_batch's bit for bit.
+    Both are ||mu - sum_j c_j lambda_j||^2 over the one data Gram of
+    rec.context, from one K(mu, Lambda) and K(mu, mu): p2_unsym is the
+    bordered form at the pseudo-Lagrange values c = mu(v) C, p2_sym its
+    minimum, power_batch's Schur value bit for bit.
     """
     mus = list(mus)
     kmm = rec.kernel.diag(mus)
@@ -172,7 +163,8 @@ def kansa_power_squared_batch(rec: UnsymmetricRecovery, mus) -> tuple[np.ndarray
     b = linalg.matmul(rec.kernel.cross(mus, rec.trial_functionals),
                       rec.coefficient_map)
     p2_sym, _ = schur_batch(rec.context.factor, kmm, kml)
-    return _kansa_p2(kmm, kml, b, rec.context.gram), p2_sym
+    p2_uns = _bordered_form(kmm, kml, b, rec.context.gram)
+    return np.maximum(p2_uns, 0.0), np.maximum(p2_sym, 0.0)
 
 
 def kansa_site_power_squared(rec: UnsymmetricRecovery) -> np.ndarray:
@@ -180,8 +172,8 @@ def kansa_site_power_squared(rec: UnsymmetricRecovery) -> np.ndarray:
     rows and diagonal of the one data Gram of rec.context are K(mu, Lambda)
     and K(mu, mu) there, and A C gives the pseudo-Lagrange values."""
     g = rec.context.gram
-    return _kansa_p2(np.diag(g), g,
-                     linalg.matmul(rec.vandermonde, rec.coefficient_map), g)
+    b = linalg.matmul(rec.vandermonde, rec.coefficient_map)
+    return np.maximum(_bordered_form(np.diag(g), g, b, g), 0.0)
 
 
 def pseudo_lagrangian_norms(rec: UnsymmetricRecovery) -> np.ndarray:

@@ -118,7 +118,7 @@ def test_criteria_4_and_5_kernel_tradeoff_and_route_agreement():
                 continue
             n_mu += 1
             s = ev.power_squared
-            b = ctx.bordered_power_squared(mu)
+            b = ev.bordered
             worst_agree = max(worst_agree, abs(b - s) / s)
             n2 = ctx.lagrangian_norm_squared(ev)
             worst_prod = max(worst_prod, abs(s * n2 - 1.0))

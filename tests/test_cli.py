@@ -477,6 +477,20 @@ def test_cli_main_identities_rejects_unknown_suites(tmp_path, capsys):
     assert not (out / "identities_report.txt").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_cli_main_rejects_a_bad_seed_with_exit_2(tmp_path, capsys, seed):
+    # bad input, not an identity failure: argparse's usage error, naming
+    # --seed, before any suite runs
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["identities", "--seed", seed, "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: must be a non-negative integer" in captured.err
+    assert not (out / "identities_report.txt").exists()
+
+
 @pytest.mark.parametrize("rtol", [2.0, 0, -1])
 def test_cli_main_kansa_rejects_rtol_outside_unit_interval(tmp_path, capsys, rtol):
     err, out = _rejected(tmp_path, capsys, "kansa", {

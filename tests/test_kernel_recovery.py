@@ -437,6 +437,34 @@ def test_every_ok_row_holds_the_product_identity(seed):
     assert all(abs(r.product - 1.0) <= 1e-5 for r in reports if r.flag == FLAG_OK), seed
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_the_bordered_form_is_minimal_at_the_lagrange_values(seed):
+    # ||mu - sum_j c_j lambda_j||^2 = P^2 + (c - w)^T G (c - w) >= P^2 for
+    # any coefficient rows c, the paper's Kansa inequality: the computed form
+    # at c lies at least P^2 - F(c), where F(c) is the roundoff floor with c
+    # in place of w, and at c = w it is P^2 within F(w).  Both sides are
+    # unclamped: near a site the Schur value may round below 0, where the
+    # clamped power reads 0
+    kernel, sites, mus = _random_problem(seed)
+    try:
+        ctx = PowerContext(kernel, FunctionalSet(sites))
+    except NotPositiveDefinite:
+        assume(False)
+    kmm, kml = kernel.diag(mus), kernel.cross(mus, ctx.lam_set)
+    p2, w = kernel_recovery.schur_batch(ctx.factor, kmm, kml)
+    ev = ctx.power_squared(mus, cross_check=False)
+    assert np.array_equal(ev.power_squared, np.maximum(p2, 0.0))
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-12.0, 0.0, size=(len(w), 1))
+    for c in (w, w + scale * rng.normal(size=w.shape) * (np.abs(w) + 1.0),
+              rng.normal(size=w.shape)):
+        form = kernel_recovery._bordered_form(kmm, kml, c, ctx.gram)
+        assert np.all(form >= p2 - ctx.roundoff_floor(kmm, kml, c)), seed
+    assert np.array_equal(kernel_recovery._bordered_form(kmm, kml, w, ctx.gram), ev.bordered)
+    assert np.all(np.abs(ev.bordered - p2) <= ctx.roundoff_floor(kmm, kml, w)), seed
+
+
 def test_near_coincident_sites_raise_not_positive_definite():
     # two sites 1e-9 apart make the Gram singular in double precision; the
     # context raises, naming the Gram's size, instead of shifting the Gram
@@ -487,8 +515,8 @@ def test_schur_vs_bordered_agreement():
             if np.min(np.linalg.norm(pts - q, axis=1)) < 0.2:
                 continue
             mu = PointEval(tuple(q))
-            s = ctx.power_squared(mu, cross_check=False).power_squared
-            b = ctx.bordered_power_squared(mu)
+            ev = ctx.power_squared(mu, cross_check=False)
+            s, b = ev.power_squared, ev.bordered
             assert b == pytest.approx(s, rel=1e-7)
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from tradeoff import linalg
 from tradeoff.errors import NoBumpExists
 from tradeoff.functionals import FunctionalSet, LaplacianEval, PointEval
-from tradeoff.kernel_recovery import PowerContext
+from tradeoff.kernel_recovery import PowerContext, _bordered_form
 from tradeoff.kernels import MaternSobolevKernel, gram
 from tradeoff.unsymmetric import (
     PoissonSetup,
@@ -158,22 +158,24 @@ def test_kansa_never_beats_symmetric():
     mus = [LaplacianEval(tuple(p)) for p in rng.uniform(0.05, 0.95, size=(20, 2))]
     mus += [PointEval(tuple(p)) for p in unit_square_perimeter(rng.uniform(0, 4, 10))]
     p2_uns, p2_sym = kansa_power_squared_batch(rec, mus)
-    # the symmetric half is power_batch's, bit for bit
-    assert np.array_equal(p2_sym, PowerContext(k, rec.functionals).power_batch(mus)[0])
+    # the symmetric half is power_batch's and the block power_squared's, bit
+    # for bit: one Schur route
+    ctx = PowerContext(k, rec.functionals)
+    assert np.array_equal(p2_sym, ctx.power_batch(mus)[0])
+    assert np.array_equal(p2_sym, ctx.power_squared(mus).power_squared)
     kmm = k.diag(mus)
     assert np.all(p2_uns >= p2_sym - 1e-8 * kmm)
 
 
 def test_kansa_site_power_reuses_the_data_gram():
-    # the site powers equal the batch formula over freshly evaluated kernel
-    # rows at the data functionals, bit for bit
+    # the site powers equal the shared bordered form over freshly evaluated
+    # kernel rows at the data functionals, bit for bit
     k = MaternSobolevKernel(5, 2, 1.0)
     rec = build_kansa(PoissonSetup.regular(k, n_side=4, n_boundary=8))
     lam = rec.functionals
     kmm, kml = k.diag(lam), k.cross(lam, lam)
     b = linalg.matmul(k.cross(lam, rec.trial_functionals), rec.coefficient_map)
-    p2 = (kmm - 2.0 * np.einsum("ij,ij->i", b, kml)
-          + np.einsum("ij,ij->i", linalg.matmul(b, gram(k, lam)), b))
+    p2 = _bordered_form(kmm, kml, b, gram(k, lam))
     assert np.array_equal(kansa_site_power_squared(rec), np.maximum(p2, 0.0))
 
 
@@ -205,14 +207,15 @@ def test_kansa_quadratic_forms_against_long_double(n_side):
     ld = np.longdouble
 
     def forms(kmm, kml, b):
-        """(BLAS, einsum, long double, sum of |terms|) P^2 before the clamp."""
+        """(shared bordered form, einsum, long double, sum of |terms|) P^2
+        before the clamp."""
         lin = kmm - 2.0 * np.einsum("ij,ij->i", b, kml)
         lb = b.astype(ld)
         ref = (kmm.astype(ld) - 2.0 * (lb * kml.astype(ld)).sum(1)
                + ((lb @ g.astype(ld)) * lb).sum(1))
         size = (np.abs(kmm) + 2.0 * (np.abs(b) * np.abs(kml)).sum(1)
                 + ((np.abs(b) @ np.abs(g)) * np.abs(b)).sum(1))
-        return (lin + np.einsum("ij,ij->i", linalg.matmul(b, g), b),
+        return (_bordered_form(kmm, kml, b, g),
                 lin + np.einsum("ij,jk,ik->i", b, g, b), ref, size, len(g))
 
     site = forms(np.diag(g), g, linalg.matmul(rec.vandermonde, c))
