@@ -37,6 +37,8 @@ from .unsymmetric import PoissonSetup, build_kansa, unit_square_perimeter
 
 @dataclass
 class ExperimentConfig:
+    """A run of subcommand name, its params checked against CONFIG_KEYS[name]."""
+
     name: str
     params: dict = field(default_factory=dict)
     out_dir: Path = None
@@ -46,9 +48,16 @@ class ExperimentConfig:
         if self.out_dir is None:
             self.out_dir = Path(f"{self.name}_out")
         self.out_dir = Path(self.out_dir)
-
-    def get(self, key, default=None):
-        return self.params.get(key, default)
+        table, given = CONFIG_KEYS[self.name], self.params
+        for key, value in given.items():
+            if key not in table:
+                raise ValueError(f"unknown {self.name} config key {key!r}; "
+                                 f"known: {', '.join(table)}")
+            table[key][0](key, value)
+        self.params = {key: given.get(key, default) for key, (_, default) in table.items()}
+        missing = ", ".join(repr(key) for key, v in self.params.items() if v is _REQUIRED)
+        if missing:
+            raise ValueError(f"{self.name} config lacks key(s) {missing}")
 
 
 def _write(path: Path, text: str):
@@ -60,46 +69,49 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _at_least(config: ExperimentConfig, key: str, default: int, low: int) -> int:
-    """config[key] (default if absent), rejected unless it is an integer
-    >= low; a bool, float or string is rejected by name."""
-    value = config.get(key, default)
-    if type(value) is not int:  # bool is an int subclass
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{key} must be >= {low}, got {value}")
-    return value
+def _at_least(low: int):
+    """Check of an integer >= low; a bool, float or string is rejected."""
+    def check(key: str, value):
+        _of(int, "an integer")(key, value)
+        if value < low:
+            raise ValueError(f"{key} must be >= {low}, got {value}")
+    return check
 
 
-def _real(config: ExperimentConfig, key: str, default: float) -> float:
-    """config[key] (default if absent), rejected unless it is a finite JSON
-    number; a bool, string or non-finite value is rejected by name."""
-    value = config.get(key, default)
+def _real(key: str, value):
+    """Check of a finite JSON number; a bool, string or NaN is rejected."""
     if type(value) not in (int, float) or not math.isfinite(value):
         raise ValueError(f"{key} must be a finite number, got {value!r}")
-    return value
 
 
-def _flag(config: ExperimentConfig, key: str, default: bool) -> bool:
-    """config[key] (default if absent), rejected unless it is a JSON bool."""
-    value = config.get(key, default)
-    if type(value) is not bool:
-        raise ValueError(f"{key} must be true or false, got {value!r}")
-    return value
+def _of(kind: type, what: str):
+    """Check of a value of one JSON type (bool is not int), which what names."""
+    def check(key: str, value):
+        if type(value) is not kind:
+            raise ValueError(f"{key} must be {what}, got {value!r}")
+    return check
+
+
+def _names(known: tuple):
+    """Check of a non-empty JSON array of names from known."""
+    def check(key: str, value):
+        if type(value) is not list or not value:
+            raise ValueError(f"{key} must be a non-empty JSON array of names, got {value!r}")
+        unknown = [name for name in value if name not in known]
+        if unknown:
+            raise ValueError(f"unknown {key} {unknown}; known: {', '.join(known)}")
+    return check
 
 
 # ---------------------------------------------------------------------------
 # fig1: norms of Lagrangians vs norm-minimal bumps in a weighted Chebyshev space
 
-def _fig1_nodes(kind: str, n_points: int) -> np.ndarray:
-    n = n_points - 1
-    if kind == "equidistant":
-        return np.linspace(-1.0, 1.0, n_points)
-    if kind == "chebyshev_extrema":
-        return np.sort(np.cos(np.arange(n_points) * np.pi / n))
-    if kind == "chebyshev_zeros":
-        return np.sort(np.cos((2 * np.arange(n_points) + 1) * np.pi / (2 * n_points)))
-    raise ValueError(f"unknown node family {kind!r}")
+# node family -> its n nodes on [-1, 1], in increasing order
+FIG1_NODES = {
+    "equidistant": lambda n: np.linspace(-1.0, 1.0, n),
+    "chebyshev_extrema": lambda n: np.sort(np.cos(np.arange(n) * np.pi / (n - 1))),
+    "chebyshev_zeros": lambda n: np.sort(np.cos((2 * np.arange(n) + 1) * np.pi / (2 * n))),
+}
 
 
 def run_fig1(config: ExperimentConfig) -> dict:
@@ -108,22 +120,18 @@ def run_fig1(config: ExperimentConfig) -> dict:
     The reported product pairs the one-tail-term power bound with the
     Lagrangian norm; the full truncated tail power is emitted alongside.
     """
-    n_points = _at_least(config, "n_points", 11, 2)
-    extra = _real(config, "extra_point", -0.9056)
+    params = config.params
+    n_points, tail, weights = params["n_points"], params["tail_order"], params["weights"]
     # a tail shorter than the node count leaves the constraints rank deficient
-    tail = _at_least(config, "tail_order", 121, n_points)
-    weights = config.get("weights", "(j+1)^2")
-    n_curve = _at_least(config, "curve_points", 401, 0)
-    families = config.get(
-        "families", ["equidistant", "chebyshev_extrema", "chebyshev_zeros"])
+    _at_least(n_points)("tail_order", tail)
 
-    xs = np.linspace(-1.0, 1.0, n_curve)
-    mu = PointEval(extra)
+    xs = np.linspace(-1.0, 1.0, params["curve_points"])
+    mu = PointEval(params["extra_point"])
     n = n_points - 1
     summary = {}
     curves = {}
-    for fam in families:
-        nodes = _fig1_nodes(fam, n_points)
+    for fam in params["families"]:
+        nodes = FIG1_NODES[fam](n_points)
         lam_set = FunctionalSet([PointEval(x) for x in nodes])
         ext_set = FunctionalSet([PointEval(x) for x in nodes] + [mu])
         lagr = expansion.cheb_lagrangians(ext_set, weights, n + 1)[-1]
@@ -155,10 +163,6 @@ def run_fig1(config: ExperimentConfig) -> dict:
 
 KANSA_CSV_HEADER = "x,y,p2_unsym,p2_sym,recip_pseudo_norm2"
 
-# pseudoinverse cutoff reproducing the published magnitudes; the effective
-# numerical rank of the collocation matrix is what the experiment measures
-KANSA_DEFAULT_RTOL = 4e-10
-
 
 def _kansa_csv(points, p2u, p2s, recip=None) -> str:
     lines = [KANSA_CSV_HEADER]
@@ -171,20 +175,14 @@ def _kansa_csv(points, p2u, p2s, recip=None) -> str:
 def run_kansa(config: ExperimentConfig) -> dict:
     """Squared power functions of pseudoinverse-based unsymmetric collocation
     against symmetric collocation, plus pseudo-Lagrangian stability norms."""
-    n_side = _at_least(config, "n_side", 11, 1)
-    n_boundary = _at_least(config, "n_boundary", 16, 0)
-    include_corners = _flag(config, "include_corners", True)
-    m = _real(config, "m", 5)
-    scale = _real(config, "c", 1.0)
-    rtol = _real(config, "rtol", KANSA_DEFAULT_RTOL)
-    eval_side = _at_least(config, "eval_interior_side", 21, 1)
-    eval_boundary = _at_least(config, "eval_boundary", 64, 1)
+    params = config.params
+    m, scale, rtol = params["m"], params["c"], params["rtol"]
+    eval_side, eval_boundary = params["eval_interior_side"], params["eval_boundary"]
 
     kernel = MaternSobolevKernel(m, 2, scale)
     setup = PoissonSetup.regular(
-        kernel, n_side=n_side, n_boundary=n_boundary,
-        include_corners=include_corners,
-        trial_points=config.get("trial_points"))
+        kernel, n_side=params["n_side"], n_boundary=params["n_boundary"],
+        include_corners=params["include_corners"], trial_points=params["trial_points"])
     rec = build_kansa(setup, rtol=rtol)
 
     h = np.arange(1, eval_side + 1) / (eval_side + 1.0)
@@ -204,6 +202,8 @@ def run_kansa(config: ExperimentConfig) -> dict:
     sites = np.vstack([setup.interior, setup.boundary])
     factors = recip / loo_p2
 
+    # K(mu, mu) of each interior Laplacian mu is the data Gram's first entry
+    reproduced = p2s_i.max() <= kernel_recovery.EXCLUDED_RTOL * rec.context.gram[0, 0]
     viol_i = int(np.sum(p2u_i < p2s_i - 1e-8))
     viol_b = int(np.sum(p2u_b < p2s_b - 1e-8))
     summary = {
@@ -211,7 +211,7 @@ def run_kansa(config: ExperimentConfig) -> dict:
         "M": rec.m, "N": rec.n,
         "max_p2_unsym_interior": float(p2u_i.max()),
         "max_p2_sym_interior": float(p2s_i.max()),
-        "ratio_max_interior": float(p2u_i.max() / p2s_i.max()),
+        "ratio_max_interior": None if reproduced else float(p2u_i.max() / p2s_i.max()),
         "max_p2_unsym_boundary": float(p2u_b.max()),
         "max_p2_sym_boundary": float(p2s_b.max()),
         "median_pseudo_factor": float(np.median(factors)),
@@ -435,12 +435,7 @@ IDENTITY_SUITES = tuple(_IDENTITY_CHECKS)
 def run_identities(config: ExperimentConfig) -> tuple[str, bool]:
     """Run the identity suite; returns (report text, all passed).  Suite i
     of IDENTITY_SUITES draws from seed + i."""
-    suites = config.get("suites", list(IDENTITY_SUITES))
-    unknown = [name for name in suites if name not in IDENTITY_SUITES]
-    if unknown:
-        raise ValueError(f"unknown identity suites {unknown}; "
-                         f"known: {', '.join(IDENTITY_SUITES)}")
-    perturb = _flag(config, "perturb", False)
+    suites, perturb = config.params["suites"], config.params["perturb"]
     lines = [f"identity suite (seed {config.seed})"]
     ok = True
     for i, name in enumerate(IDENTITY_SUITES):
@@ -467,21 +462,16 @@ def run_identities(config: ExperimentConfig) -> tuple[str, bool]:
 # greedy
 
 def run_greedy(config: ExperimentConfig) -> dict:
-    side = _at_least(config, "grid_side", 10, 1)
-    steps = _at_least(config, "max_steps", 25, 1)
-    tolerance = _real(config, "tolerance", 0.0)
-    # m goes to the kernel's whole-number check, as in an audit kernel spec
-    m = _real(config, "m", 5)
-    d = _at_least(config, "d", 2, 1)
-    scale = _real(config, "c", 1.0)
-    kernel = MaternSobolevKernel(m, d, scale)
+    params = config.params
+    side, d, steps = params["grid_side"], params["d"], params["max_steps"]
+    kernel = MaternSobolevKernel(params["m"], d, params["c"])
     h = (np.arange(side) + 0.5) / side
     if d == 2:
         pts = [(x, y) for x in h for y in h]
     else:
         pts = [(x,) for x in h]
     candidates = FunctionalSet([PointEval(p) for p in pts])
-    trace = p_greedy(kernel, candidates, max_steps=steps, tolerance=tolerance)
+    trace = p_greedy(kernel, candidates, max_steps=steps, tolerance=params["tolerance"])
     _write(config.out_dir / "greedy_trace.csv", trace.to_csv())
     sel_lines = ["candidate_id," + ("x,y" if d == 2 else "x")]
     for idx, f in zip(trace.selected_indices, trace.selected):
@@ -497,9 +487,6 @@ def run_greedy(config: ExperimentConfig) -> dict:
 
 def run_audit(config: ExperimentConfig) -> dict:
     spec = config.params
-    if "kernel" not in spec or "data" not in spec or "eval" not in spec:
-        raise TradeoffError(
-            "audit config needs 'kernel', 'data', and 'eval' entries")
     kernel = kernel_from_spec(spec["kernel"])
     lam_set = FunctionalSet.from_json(spec["data"])
     eval_set = [functional_from_json(d) for d in spec["eval"]]
@@ -512,6 +499,32 @@ def run_audit(config: ExperimentConfig) -> dict:
 
 # ---------------------------------------------------------------------------
 # entry point
+
+_REQUIRED = object()  # the default of a key that must be given
+_COUNT, _SIZE, _ARRAY = _at_least(0), _at_least(1), _of(list, "a JSON array")
+_FLAG = _of(bool, "true or false")
+
+# subcommand -> key -> (check, default): the keys its config accepts, where
+# check(key, value) raises a ValueError naming the key unless it takes value.
+# m is a number the kernel checks is whole, as in an audit kernel spec; the
+# kansa rtol reproduces the published magnitudes (kansa measures the rank)
+CONFIG_KEYS = {
+    "fig1": {"n_points": (_at_least(2), 11), "extra_point": (_real, -0.9056),
+             "tail_order": (_at_least(2), 121),  # and >= n_points, checked in run_fig1
+             "weights": (_of(str, "a weight rule string"), "(j+1)^2"),
+             "families": (_names(tuple(FIG1_NODES)), tuple(FIG1_NODES)),
+             "curve_points": (_COUNT, 401)},
+    "kansa": {"n_side": (_SIZE, 11), "n_boundary": (_COUNT, 16),
+              "include_corners": (_FLAG, True), "m": (_real, 5), "c": (_real, 1.0),
+              "rtol": (_real, 4e-10), "eval_interior_side": (_SIZE, 21),
+              "eval_boundary": (_SIZE, 64), "trial_points": (_ARRAY, None)},  # None: data grid
+    "identities": {"suites": (_names(IDENTITY_SUITES), IDENTITY_SUITES),
+                   "perturb": (_FLAG, False)},
+    "greedy": {"grid_side": (_SIZE, 10), "max_steps": (_SIZE, 25), "tolerance": (_real, 0.0),
+               "m": (_real, 5), "d": (_SIZE, 2), "c": (_real, 1.0)},
+    "audit": {"kernel": (_of(dict, "a JSON object"), _REQUIRED),
+              "data": (_ARRAY, _REQUIRED), "eval": (_ARRAY, _REQUIRED)},
+}
 
 _RUNNERS = {
     "fig1": run_fig1,
@@ -578,9 +591,7 @@ def main(argv=None) -> int:
             params["suites"] = args.suites
         if getattr(args, "perturb", False):
             params["perturb"] = True
-        config = ExperimentConfig(
-            name=args.command, params=params,
-            out_dir=args.out, seed=args.seed)
+        config = ExperimentConfig(args.command, params, args.out, args.seed)
 
         if args.command == "identities":
             text, ok = run_identities(config)

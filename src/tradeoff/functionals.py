@@ -42,10 +42,14 @@ class Functional:
     @classmethod
     def from_json(cls, d: dict) -> "Functional":
         names = _field_names(cls)
-        missing = [name for name in names if name not in d]
-        if missing:
-            raise ValueError(f"{cls.kind} functional {d} lacks key(s) "
-                             f"{', '.join(map(repr, missing))}")
+        for problem, bad in [
+                ("lacks key(s)", [n for n in names if n not in d]),
+                ("has unknown key(s)", [k for k in d if k not in names and k != "kind"]),
+                ("needs a JSON integer at", [n for n in names if type(d.get(n)) is not int
+                                             and cls.__annotations__[n] == "int"])]:
+            if bad:
+                raise ValueError(f"{cls.kind} functional {d} {problem} "
+                                 f"{', '.join(map(repr, bad))}")
         return cls(**{name: d[name] for name in names})
 
     def on_coeffs(self, coeffs: np.ndarray) -> float:
@@ -181,7 +185,9 @@ _KINDS = {cls.kind: cls for cls in (PointEval, DerivEval, LaplacianEval, CoeffEv
 
 
 def functional_from_json(d: dict) -> Functional:
-    cls = _KINDS.get(d.get("kind"))
+    if type(d) is not dict:
+        raise ValueError(f"a functional must be a JSON object, got {d!r}")
+    cls = _KINDS.get(d["kind"]) if type(d.get("kind")) is str else None
     if cls is None:
         raise ValueError(f"unknown functional kind {d.get('kind')!r}")
     return cls.from_json(d)

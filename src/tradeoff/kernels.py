@@ -176,8 +176,8 @@ class MaternSobolevKernel:
             raise ValueError(f"Sobolev order must be >= 3, got {m}")
         if not float(m).is_integer():
             raise ValueError(f"Sobolev order must be a whole number, got {m}")
-        if c <= 0:
-            raise ValueError(f"scale must be positive, got {c}")
+        if not 0 < c < np.inf:
+            raise ValueError(f"scale must be positive and finite, got {c}")
         self.m = int(m)
         self.d = int(d)
         self.c = float(c)
@@ -327,22 +327,29 @@ def kernel_from_spec(spec: dict):
     """Kernel from a JSON spec: {"family": "matern", "m", "d", "c"} or
     {"family": "chebweight", "weights", "K"}, where the weights are a rule
     string, or a list of K + 1 entries w_0 .. w_K (K may then be omitted)."""
+    if type(spec) is not dict:
+        raise ValueError(f"a kernel spec must be a JSON object, got {spec!r}")
     family = spec.get("family")
 
-    def need(*keys):
+    def need(*keys, may=()):
+        # keys are required; no key but them, family and may is allowed
         missing = [k for k in keys if k not in spec]
-        if missing:
-            raise ValueError(f"{family} kernel spec lacks key(s) "
-                             f"{', '.join(map(repr, missing))}")
+        unknown = [k for k in spec if k not in ("family", *keys, *may)]
+        for problem, bad in [("lacks key(s)", missing), ("has unknown key(s)", unknown)]:
+            if bad:
+                raise ValueError(f"{family} kernel spec {problem} {', '.join(map(repr, bad))}")
+        for k, kind in [("m", "number"), ("d", "number"), ("c", "number"), ("K", "integer")]:
+            if type(spec.get(k, 1)) not in ((int,) if kind == "integer" else (int, float)):
+                raise ValueError(f"{family} kernel spec needs a JSON {kind} at {k!r}, "
+                                 f"got {spec[k]!r}")
 
     if family == "matern":
-        need("m", "d")
+        need("m", "d", may=("c",))
         return MaternSobolevKernel(spec["m"], spec["d"], spec.get("c", 1.0))
     if family == "chebweight":
-        need("weights")
-        w = spec["weights"]
+        w = spec.get("weights")
+        need("weights", *(("K",) if isinstance(w, str) else ()), may=("K",))
         if isinstance(w, str):
-            need("K")
             return ChebWeightKernel(weight_array(w, spec["K"]))
         if "K" in spec and np.size(w) != spec["K"] + 1:
             raise ValueError(f"chebweight weights list has {np.size(w)} entries, "

@@ -12,7 +12,7 @@ import oracle
 from tradeoff import cli, kernel_recovery, linalg
 from tradeoff.cli import ExperimentConfig, main, run_fig1, run_greedy, run_identities, run_kansa
 from tradeoff.errors import NotPositiveDefinite
-from tradeoff.functionals import FunctionalSet
+from tradeoff.functionals import FunctionalSet, LaplacianEval
 from tradeoff.kernels import MaternSobolevKernel, gram
 from tradeoff.weights import parse_weight_rule
 
@@ -57,6 +57,43 @@ def test_kansa_smoke_reduced(tmp_path):
                           skip_header=1)
     assert sites.shape == (41, 5)
     assert np.all(np.isfinite(sites[:, 4]))
+
+
+def test_kansa_ratio_is_null_when_the_data_reproduce_every_interior_mu(tmp_path):
+    # the evaluation grid is the 5x5 data grid: every interior symmetric
+    # power is roundoff (1.1e-16), and the quotient would read 6.5e11
+    params = {"n_side": 5, "eval_interior_side": 5, "eval_boundary": 8}
+    summary = run_kansa(ExperimentConfig("kansa", params=params, out_dir=tmp_path))
+    k_mu_mu = MaternSobolevKernel(5, 2, 1.0).diag([LaplacianEval((0.5, 0.5))])[0]
+    assert summary["max_p2_sym_interior"] <= kernel_recovery.EXCLUDED_RTOL * k_mu_mu
+    assert summary["ratio_max_interior"] is None
+    assert '"ratio_max_interior": null' in (tmp_path / "kansa_summary.json").read_text()
+    # a 9x9 grid shares only its centre with the data: a ratio again
+    params["eval_interior_side"] = 9
+    summary = run_kansa(ExperimentConfig("kansa", params=params, out_dir=tmp_path))
+    assert summary["ratio_max_interior"] == (summary["max_p2_unsym_interior"]
+                                             / summary["max_p2_sym_interior"]) > 1.0
+
+
+def test_bench_cli_jobs_pass_the_config_table(monkeypatch):
+    # every CLI job the benchmark runs is a config the table accepts, and the
+    # CLI defaults the bench spells out are the table's
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    for seed in (0, 62):
+        jobs = [job for w in workloads.WORKLOADS.values() for job in w.make_jobs(seed)
+                if job.command in cli.CONFIG_KEYS]
+        assert {job.command for job in jobs} == set(cli.CONFIG_KEYS)
+        for job in jobs:
+            ExperimentConfig(job.command, params=job.config or {})
+    default = {(command, key): entry[1] for command, table in cli.CONFIG_KEYS.items()
+               for key, entry in table.items()}
+    assert (workloads.KANSA_EVAL_SIDE, workloads.KANSA_EVAL_BOUNDARY, workloads.KANSA_BOUNDARY) \
+        == (default["kansa", "eval_interior_side"], default["kansa", "eval_boundary"],
+            default["kansa", "n_boundary"])
+    assert workloads.IDENTITY_SUITES == default["identities", "suites"]
+    assert workloads.FIG1_FAMILIES == default["fig1", "families"]
 
 
 def test_kansa_evaluates_each_row_once(monkeypatch, tmp_path):
@@ -520,6 +557,18 @@ def test_cli_main_rejects_empty_grids(tmp_path, capsys, command, params, key):
     assert not out.exists()
 
 
+_MATERN_1D = {"family": "matern", "m": 5, "d": 1}
+_POINT = [{"kind": "point", "x": [0.1]}]
+_CHEBWEIGHT = {"family": "chebweight", "weights": "(j+1)^2", "K": 40}
+
+
+def _audit(**parts) -> dict:
+    """A 1-d Matern audit spec of one data and one eval row, with parts
+    replaced or added."""
+    return {"kernel": _MATERN_1D, "data": _POINT,
+            "eval": [{"kind": "point", "x": [0.3]}], **parts}
+
+
 _MATERN_5_5 = {"kernel": {"family": "matern", "m": 5.5, "d": 2},
                "data": [{"kind": "point", "x": [0.1, 0.2]}],
                "eval": [{"kind": "point", "x": [0.3, 0.4]}]}
@@ -555,6 +604,32 @@ _MATERN_5_5 = {"kernel": {"family": "matern", "m": 5.5, "d": 2},
     ("fig1", {"n_points": 5, "tail_order": 4}, "tail_order must be >= 5"),
     ("fig1", {"curve_points": "401"}, "curve_points must be an integer"),
     ("fig1", {"extra_point": "x"}, "extra_point must be a finite number"),
+    ("fig1", {"n_point": 11}, "unknown fig1 config key 'n_point'"),
+    ("kansa", {"n_sid": 3}, "unknown kansa config key 'n_sid'"),
+    ("identities", {"suite": ["poly"]}, "unknown identities config key 'suite'"),
+    ("greedy", {"grid": 4}, "unknown greedy config key 'grid'"),
+    ("audit", _audit(scale=0.1), "unknown audit config key 'scale'"),
+    ("audit", {"kernel": _MATERN_1D, "data": _POINT}, "audit config lacks key(s) 'eval'"),
+    ("audit", _audit(kernel="matern"), "kernel must be a JSON object"),
+    ("audit", _audit(data={"kind": "point", "x": [0.1]}), "data must be a JSON array"),
+    ("kansa", {"trial_points": {"x": 0.5}}, "trial_points must be a JSON array"),
+    ("identities", {"suites": []}, "suites must be a non-empty JSON array"),
+    ("identities", {"suites": "poly"}, "suites must be a non-empty JSON array"),
+    ("fig1", {"families": []}, "families must be a non-empty JSON array"),
+    ("fig1", {"families": ["equidistant", "chebychev"]}, "unknown families ['chebychev']"),
+    ("audit", _audit(data=[3]), "a functional must be a JSON object, got 3"),
+    ("audit", _audit(data=[{"kind": ["point"], "x": [0.5]}]), "unknown functional kind"),
+    ("audit", _audit(data=[{"kind": "point", "x": [0.5], "order": 1}]),
+     "point functional {'kind': 'point', 'x': [0.5], 'order': 1} has unknown key(s) 'order'"),
+    ("audit", _audit(kernel=_CHEBWEIGHT, data=[{"kind": "coeff", "j": 2.5}]),
+     "needs a JSON integer at 'j'"),
+    ("audit", _audit(data=[{"kind": "deriv", "x": [0.5], "order": 1.0}]),
+     "needs a JSON integer at 'order'"),
+    ("audit", _audit(kernel={"family": "matern", "m": 5, "d": 2, "scale": 0.1}),
+     "matern kernel spec has unknown key(s) 'scale'"),
+    ("audit", _audit(kernel={**_MATERN_1D, "c": "1"}), "needs a JSON number at 'c'"),
+    ("audit", _audit(kernel={**_MATERN_1D, "c": float("nan")}), "scale must be positive"),
+    ("audit", _audit(kernel={**_CHEBWEIGHT, "K": "121"}), "needs a JSON integer at 'K'"),
 ], ids=["list", "string", "n_side_fraction", "eval_side_float", "n_points_string",
         "n_points_float", "max_steps_fraction", "max_steps_zero", "grid_side_bool",
         "greedy_m_fraction", "audit_m_fraction", "greedy_m_string", "greedy_c_string",
@@ -562,7 +637,13 @@ _MATERN_5_5 = {"kernel": {"family": "matern", "m": 5.5, "d": 2},
         "greedy_d_float", "kansa_c_bool", "kansa_rtol_string", "kansa_m_inf",
         "perturb_string", "perturb_int", "n_boundary_string", "n_boundary_negative",
         "include_corners_string", "tail_order_string", "tail_order_short",
-        "curve_points_string", "extra_point_string"])
+        "curve_points_string", "extra_point_string", "fig1_unknown_key",
+        "kansa_unknown_key", "identities_unknown_key", "greedy_unknown_key",
+        "audit_unknown_key", "audit_without_eval", "audit_kernel_string",
+        "audit_data_object", "trial_points_object", "suites_empty", "suites_string",
+        "families_empty", "families_unknown", "functional_int", "functional_kind_list",
+        "point_with_order", "coeff_j_fraction", "deriv_order_float", "matern_scale_key",
+        "matern_c_string", "matern_c_nan", "chebweight_K_string"])
 def test_cli_main_rejects_a_bad_config_with_exit_2(tmp_path, capsys, command, params, named):
     err, out = _rejected(tmp_path, capsys, command, params)
     assert named in err
@@ -577,9 +658,6 @@ def test_cli_main_audit_rejects_chebweight_list_that_mismatches_K(tmp_path, caps
     })
     assert "K + 1 = 6" in err
     assert not (out / "audit_report.csv").exists()
-
-
-_POINT = [{"kind": "point", "x": [0.1]}]
 
 
 @pytest.mark.parametrize("spec,named", [
