@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -26,18 +27,21 @@ from pathlib import Path
 
 import numpy as np
 
-from . import expansion, kernel_recovery, linalg, unsymmetric
-from .errors import NotPositiveDefinite, TradeoffError
+from . import expansion, kernel_recovery, unsymmetric
+from .errors import BadWeights, NotPositiveDefinite, TradeoffError
 from .functionals import FunctionalSet, LaplacianEval, PointEval, functional_from_json
 from .greedy import p_greedy
-from .kernels import MaternSobolevKernel, gram, kernel_from_spec
+from .identities import IDENTITY_SUITES, run_suites
+from .kernels import MaternSobolevKernel, kernel_from_spec
 from .report import FLAG_EXCLUDED, FLAG_UNRESOLVED, reports_to_csv
 from .unsymmetric import PoissonSetup, build_kansa, unit_square_perimeter
+from .weights import parse_weight_rule
 
 
 @dataclass
 class ExperimentConfig:
-    """A run of subcommand name, its params checked against CONFIG_KEYS[name]."""
+    """A run of subcommand name, its params checked against CONFIG_KEYS[name];
+    seed is read by identities alone."""
 
     name: str
     params: dict = field(default_factory=dict)
@@ -45,9 +49,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.out_dir is None:
-            self.out_dir = Path(f"{self.name}_out")
-        self.out_dir = Path(self.out_dir)
+        self.out_dir = Path(f"{self.name}_out" if self.out_dir is None else self.out_dir)
         table, given = CONFIG_KEYS[self.name], self.params
         for key, value in given.items():
             if key not in table:
@@ -69,27 +71,41 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _at_least(low: int):
-    """Check of an integer >= low; a bool, float or string is rejected."""
+def _must(what: str, ok):
+    """Check of a value that ok accepts, which what names."""
     def check(key: str, value):
-        _of(int, "an integer")(key, value)
-        if value < low:
-            raise ValueError(f"{key} must be >= {low}, got {value}")
+        if not ok(value):
+            raise ValueError(f"{key} must be {what}, got {value!r}")
     return check
-
-
-def _real(key: str, value):
-    """Check of a finite JSON number; a bool, string or NaN is rejected."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
 
 
 def _of(kind: type, what: str):
     """Check of a value of one JSON type (bool is not int), which what names."""
+    return _must(what, lambda value: type(value) is kind)
+
+
+def _is_real(value) -> bool:
+    """Whether value is a finite JSON number (a bool, string or NaN is not)."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _integer(low: int, high: float = math.inf):
+    """Check of an integer in [low, high]; a bool, float or string is rejected."""
     def check(key: str, value):
-        if type(value) is not kind:
-            raise ValueError(f"{key} must be {what}, got {value!r}")
+        _of(int, "an integer")(key, value)
+        if value < low:
+            raise ValueError(f"{key} must be >= {low}, got {value}")
+        if value > high:
+            raise ValueError(f"{key} must be <= {high}, got {value}")
     return check
+
+
+def _weight_rule(key: str, value):
+    _of(str, "a weight rule string")(key, value)
+    try:
+        parse_weight_rule(value)
+    except BadWeights as exc:
+        raise ValueError(f"{key} must be a weight rule that parses: {exc}") from exc
 
 
 def _names(known: tuple):
@@ -123,7 +139,7 @@ def run_fig1(config: ExperimentConfig) -> dict:
     params = config.params
     n_points, tail, weights = params["n_points"], params["tail_order"], params["weights"]
     # a tail shorter than the node count leaves the constraints rank deficient
-    _at_least(n_points)("tail_order", tail)
+    _integer(n_points)("tail_order", tail)
 
     xs = np.linspace(-1.0, 1.0, params["curve_points"])
     mu = PointEval(params["extra_point"])
@@ -147,14 +163,10 @@ def run_fig1(config: ExperimentConfig) -> dict:
         }
         curves[fam] = np.column_stack([xs, bump(xs), lagr(xs)])
 
-    files = {}
     for fam, data in curves.items():
-        lines = ["# x  bump  lagrangian"]
-        lines += [f"{r[0]:.17g} {r[1]:.17g} {r[2]:.17g}" for r in data]
-        files[f"fig1_{fam}.dat"] = "\n".join(lines) + "\n"
-    files["fig1_summary.json"] = _json_dumps(summary)
-    for name, text in files.items():
-        _write(config.out_dir / name, text)
+        lines = ["# x  bump  lagrangian"] + [f"{r[0]:.17g} {r[1]:.17g} {r[2]:.17g}" for r in data]
+        _write(config.out_dir / f"fig1_{fam}.dat", "\n".join(lines) + "\n")
+    _write(config.out_dir / "fig1_summary.json", _json_dumps(summary))
     return summary
 
 
@@ -228,232 +240,11 @@ def run_kansa(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 # identities: seeded verification of the closed-form trade-off identities
 
-def _sample_distinct_nodes(rng, count: int) -> np.ndarray:
-    while True:
-        nodes = rng.uniform(-1.0, 1.0, count)
-        nodes.sort()
-        if (nodes[1:] - nodes[:-1] > 1e-12).all():
-            return nodes
-
-
-def _worst(products) -> float:
-    """max |p - 1| over a list of product arrays (0 without products); a
-    NaN product makes it NaN, which no tolerance passes."""
-    return float(np.max(np.abs(np.concatenate(products) - 1.0), initial=0.0))
-
-
-def _identity_poly(rng) -> float:
-    """Each of 200 draws is a node count n, n + 1 distinct nodes and a point
-    at least 1e-9 from them, drawn one at a time, rejection loops included;
-    the closed forms then take all draws of one node count in one call."""
-    draws: dict = {}  # n -> (node rows, points)
-    for _ in range(200):
-        n = int(rng.integers(1, 11))
-        nodes = _sample_distinct_nodes(rng, n + 1)
-        while True:
-            x = float(rng.uniform(-1.0, 1.0))
-            if np.abs(x - nodes).min() > 1e-9:
-                break
-        rows, xs = draws.setdefault(n, ([], []))
-        rows.append(nodes)
-        xs.append(x)
-    products = []
-    for rows, xs in draws.values():
-        nodes, x = np.array(rows), np.array(xs)
-        products.append(expansion.poly_power(nodes, x)
-                        * expansion.poly_lagrangian_seminorm(nodes, x))
-    return _worst(products)
-
-
-def _identity_ctd(rng) -> tuple[float, float, float]:
-    """Range of power x Lagrangian norm over 10 000 seeded cells and points,
-    and the largest deviation from 1 at the cell midpoints.  Each row of
-    rng.random is one (xk, width, t) draw scaled as lo + (hi - lo) U, which
-    is what rng.uniform computes, so these are its draws bit for bit."""
-    u = rng.random((10_000, 3))
-    xk = -1.0 + 2.0 * u[:, 0]
-    width = 1e-3 + (2.0 - 1e-3) * u[:, 1]
-    t = 1e-6 + ((1.0 - 1e-6) - 1e-6) * u[:, 2]
-    xk1 = xk + width
-    x = xk + t * width
-    prod = expansion.ctd_power(xk, xk1, x) * expansion.ctd_lagrangian_norm(xk, xk1, x)
-    xm = xk + 0.5 * width
-    pm = expansion.ctd_power(xk, xk1, xm) * expansion.ctd_lagrangian_norm(xk, xk1, xm)
-    return float(prod.min()), float(prod.max()), float(np.abs(pm - 1.0).max())
-
-
-_TAYLOR_RULES = ["1", "0.37", "(j+1)^2", "(j+2)^3", "factorial_sq_over:2^j",
-                 "factorial_sq_over:3^j"]
-
-
-def _identity_taylor(rng) -> float:
-    """100 draws of a rule and an order k < 40, one at a time; the closed
-    forms then take all orders of one rule in one call."""
-    picks = np.empty(100, dtype=int)
-    ks = np.empty(100, dtype=int)
-    for i in range(100):
-        picks[i] = rng.integers(0, len(_TAYLOR_RULES))
-        ks[i] = rng.integers(0, 40)
-    products = []
-    for r, rule in enumerate(_TAYLOR_RULES):
-        k = ks[picks == r]
-        if k.size:
-            products.append(expansion.taylor_power(rule, k)
-                            * expansion.taylor_lagrangian_norm(rule, k))
-    return _worst(products)
-
-
-def _identity_ortho(rng) -> float:
-    """100 normal tails of 1 to 49 terms, drawn one at a time; the closed
-    form then takes all tails of one length in one call."""
-    tails: dict = {}  # length -> tails
-    for _ in range(100):
-        size = int(rng.integers(1, 50))
-        tails.setdefault(size, []).append(rng.normal(size=size))
-    products = []
-    for rows in tails.values():
-        power, _, bump_norm = expansion.ortho_power_and_bump(np.array(rows))
-        products.append(power * bump_norm)
-    return _worst(products)
-
-
-_KERNEL_SWEEP = [(m, d) for m in (3, 4, 5) for d in (1, 2)]
-
-
-def _kernel_instance(rng, m: int, d: int):
-    """A seeded point set plus evaluation points kept away from the data, so
-    the identity check is not dominated by cancellation near the data."""
-    kernel = MaternSobolevKernel(m, d, 1.0)
-    n = int(rng.integers(5, 13 if d == 1 else 31))
-    pts = rng.uniform(-1.0, 1.0, size=(n, d))
-    lam_set = FunctionalSet([PointEval(tuple(p)) for p in pts])
-    mus = []
-    tries = 0
-    while len(mus) < 8 and tries < 4000:
-        tries += 1
-        q = rng.uniform(-1.75, 1.75, size=d)
-        if np.min(np.linalg.norm(pts - q, axis=1)) >= 0.25:
-            mus.append(PointEval(tuple(q)))
-    return kernel, lam_set, mus
-
-
-def _identity_kernel(rng, perturb: bool = False) -> tuple[float, int]:
-    """Max |product - 1| of the Schur-route squared power and the squared
-    Lagrangian norm of an independent extended-Gram solve over the resolved
-    instances, and the count of unresolved ones, left out of that check:
-    F > UNRESOLVED_RTOL P^2 as in the audit report, or a data or extended
-    Gram that fails its Cholesky factorization.
-
-    The kernel values come from one Gram per (m, d) instance, over the
-    evaluation functionals followed by the data: its data block is the
-    context's Gram, its evaluation rows feed one block power_squared call,
-    and each extended Gram of {mu} + Lambda is a slice of it.
-    """
-    products, unresolved = [], 0
-    for m, d in _KERNEL_SWEEP:
-        kernel, lam_set, mus = _kernel_instance(rng, m, d)
-        k = len(mus)
-        g_all = gram(kernel, FunctionalSet(mus + list(lam_set)))
-        try:
-            ctx = kernel_recovery.PowerContext(kernel, lam_set, g_all[k:, k:])
-        except NotPositiveDefinite:
-            unresolved += k
-            continue
-        kmm, kml = np.diag(g_all)[:k], g_all[:k, k:]
-        ev = ctx.power_squared(mus, kernel_values=(kmm, kml))
-        floor = ctx.roundoff_floor(kmm, kml, ev.lagrange_values)
-        data = list(range(k, k + len(lam_set)))
-        for i, (p2, excluded) in enumerate(zip(ev.power_squared, ev.excluded)):
-            # a NaN floor or power is not unresolved: its product stays NaN
-            if excluded or floor[i] > kernel_recovery.UNRESOLVED_RTOL * p2:
-                unresolved += not excluded
-                continue
-            g = g_all[np.ix_([i] + data, [i] + data)]
-            if perturb:
-                # scaling K(mu, mu) keeps g positive definite, so the control
-                # fails on the product itself, not on the Cholesky
-                g[0, 0] *= 1.01
-            try:
-                norm2 = float(linalg.factor_spd(g).solve(np.eye(len(g))[0])[0])
-            except NotPositiveDefinite:
-                unresolved += 1
-                continue
-            products.append(p2 * norm2)
-    return _worst([np.array(products)]), unresolved
-
-
-def _identity_svd(rng) -> float:
-    """100 systems of 2 to 11 rows, each with fewer positive singular values
-    than rows and a normal mu, drawn one at a time; the closed forms then
-    take all systems of one size in one call."""
-    draws: dict = {}  # m -> (positive singular values, mu) per system
-    for _ in range(100):
-        m = int(rng.integers(2, 12))
-        n_pos = int(rng.integers(0, m))
-        sigma = rng.uniform(0.1, 5.0, size=n_pos)
-        draws.setdefault(m, []).append((sigma, rng.normal(size=m)))
-    products = []
-    for m, systems in draws.items():
-        sigma = np.zeros((len(systems), m))
-        for row, (s, _) in zip(sigma, systems):
-            row[:s.size] = s
-        rec = unsymmetric.SvdRecovery(np.sort(sigma, axis=-1)[:, ::-1])
-        mu = np.array([mu for _, mu in systems])
-        # a mu that vanishes on the zero singular values gets a last entry 1
-        mu[~np.any((mu != 0.0) & rec.zero_mask(), axis=-1), -1] = 1.0
-        p2 = unsymmetric.svd_power_squared(rec, mu)
-        _, norm = unsymmetric.svd_bump_min(rec, mu)
-        # Python's float ** 2 is libm pow, which rounds differently from
-        # numpy's square on some inputs; the scalar suite used it
-        products.append(p2 * np.array([v ** 2 for v in norm.tolist()]))
-    return _worst(products)
-
-
-def _max_dev(label: str, tol: str):
-    """Pass test and detail of a suite whose check returns max |label - 1|."""
-    return (lambda dev: dev <= float(tol),
-            lambda dev: f"max |{label} - 1| = {dev:.3e} (tol {tol})")
-
-
-# name -> (check(rng, perturb), pass test, detail) of each identity suite
-_IDENTITY_CHECKS = {
-    "poly": (lambda rng, _: _identity_poly(rng), *_max_dev("power*seminorm", "1e-11")),
-    "ctd": (lambda rng, _: _identity_ctd(rng),
-            lambda r: r[0] >= 1.0 - 1e-12 and r[1] <= 2.0 + 1e-12 and r[2] <= 1e-12,
-            lambda r: (f"product range [{r[0]:.12f}, {r[1]:.12f}], "
-                       f"midpoint dev {r[2]:.3e}")),
-    "taylor": (lambda rng, _: _identity_taylor(rng), *_max_dev("product", "1e-12")),
-    "ortho": (lambda rng, _: _identity_ortho(rng), *_max_dev("product", "1e-12")),
-    "kernel": (_identity_kernel, lambda r: r[0] <= 1e-5,
-               lambda r: f"max |P^2*norm^2 - 1| = {r[0]:.3e} (tol 1e-5), "
-                         f"{r[1]} unresolved"),
-    "svd": (lambda rng, _: _identity_svd(rng), *_max_dev("P^2*norm^2", "1e-12")),
-}
-IDENTITY_SUITES = tuple(_IDENTITY_CHECKS)
-
-
 def run_identities(config: ExperimentConfig) -> tuple[str, bool]:
-    """Run the identity suite; returns (report text, all passed).  Suite i
-    of IDENTITY_SUITES draws from seed + i."""
-    suites, perturb = config.params["suites"], config.params["perturb"]
-    lines = [f"identity suite (seed {config.seed})"]
-    ok = True
-    for i, name in enumerate(IDENTITY_SUITES):
-        if name not in suites:
-            continue
-        check, passes, detail = _IDENTITY_CHECKS[name]
-        # any error inside a suite counts as a failure, not a crash
-        try:
-            result = check(np.random.default_rng(config.seed + i), perturb)
-        except Exception as exc:
-            passed, text = False, f"raised {type(exc).__name__}: {exc}"
-        else:
-            passed, text = passes(result), detail(result)
-        ok &= passed
-        lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {text}")
-
-    lines.append("ALL PASS" if ok else "FAILURES PRESENT")
-    text = "\n".join(lines) + "\n"
+    """Run the identity suites (tradeoff.identities); returns (report text,
+    all passed)."""
+    params = config.params
+    text, ok = run_suites(params["suites"], config.seed, params["perturb"])
     _write(config.out_dir / "identities_report.txt", text)
     return text, ok
 
@@ -466,11 +257,7 @@ def run_greedy(config: ExperimentConfig) -> dict:
     side, d, steps = params["grid_side"], params["d"], params["max_steps"]
     kernel = MaternSobolevKernel(params["m"], d, params["c"])
     h = (np.arange(side) + 0.5) / side
-    if d == 2:
-        pts = [(x, y) for x in h for y in h]
-    else:
-        pts = [(x,) for x in h]
-    candidates = FunctionalSet([PointEval(p) for p in pts])
+    candidates = FunctionalSet([PointEval(p) for p in itertools.product(h, repeat=d)])
     trace = p_greedy(kernel, candidates, max_steps=steps, tolerance=params["tolerance"])
     _write(config.out_dir / "greedy_trace.csv", trace.to_csv())
     sel_lines = ["candidate_id," + ("x,y" if d == 2 else "x")]
@@ -501,37 +288,39 @@ def run_audit(config: ExperimentConfig) -> dict:
 # entry point
 
 _REQUIRED = object()  # the default of a key that must be given
-_COUNT, _SIZE, _ARRAY = _at_least(0), _at_least(1), _of(list, "a JSON array")
-_FLAG = _of(bool, "true or false")
+_COUNT, _SIZE, _ARRAY = _integer(0), _integer(1), _of(list, "a JSON array")
+_FLAG, _REAL = _of(bool, "true or false"), _must("a finite number", _is_real)
+_POSITIVE = _must("a finite number > 0", lambda v: _is_real(v) and v > 0)
+_ORDER = _must("a finite number that is a whole number >= 3",  # a Sobolev order; 5.0 is one
+               lambda v: _is_real(v) and v >= 3 and float(v).is_integer())
+_POINTS = _must("a JSON array of [x, y] points of finite numbers",
+                lambda v: type(v) is list and all(type(p) is list and len(p) == 2
+                                                  and all(map(_is_real, p)) for p in v))
 
 # subcommand -> key -> (check, default): the keys its config accepts, where
 # check(key, value) raises a ValueError naming the key unless it takes value.
-# m is a number the kernel checks is whole, as in an audit kernel spec; the
-# kansa rtol reproduces the published magnitudes (kansa measures the rank)
+# The kernel and the weight parser check their own arguments too, for
+# library callers; the kansa rtol reproduces the published magnitudes
+# (kansa measures the rank)
 CONFIG_KEYS = {
-    "fig1": {"n_points": (_at_least(2), 11), "extra_point": (_real, -0.9056),
-             "tail_order": (_at_least(2), 121),  # and >= n_points, checked in run_fig1
-             "weights": (_of(str, "a weight rule string"), "(j+1)^2"),
+    "fig1": {"n_points": (_integer(2), 11), "extra_point": (_REAL, -0.9056),
+             "tail_order": (_integer(2), 121),  # and >= n_points, checked in run_fig1
+             "weights": (_weight_rule, "(j+1)^2"),
              "families": (_names(tuple(FIG1_NODES)), tuple(FIG1_NODES)),
              "curve_points": (_COUNT, 401)},
     "kansa": {"n_side": (_SIZE, 11), "n_boundary": (_COUNT, 16),
-              "include_corners": (_FLAG, True), "m": (_real, 5), "c": (_real, 1.0),
-              "rtol": (_real, 4e-10), "eval_interior_side": (_SIZE, 21),
-              "eval_boundary": (_SIZE, 64), "trial_points": (_ARRAY, None)},  # None: data grid
+              "include_corners": (_FLAG, True), "m": (_ORDER, 5), "c": (_POSITIVE, 1.0),
+              "rtol": (_REAL, 4e-10), "eval_interior_side": (_SIZE, 21),
+              "eval_boundary": (_SIZE, 64), "trial_points": (_POINTS, None)},  # None: data grid
     "identities": {"suites": (_names(IDENTITY_SUITES), IDENTITY_SUITES),
                    "perturb": (_FLAG, False)},
-    "greedy": {"grid_side": (_SIZE, 10), "max_steps": (_SIZE, 25), "tolerance": (_real, 0.0),
-               "m": (_real, 5), "d": (_SIZE, 2), "c": (_real, 1.0)},
+    "greedy": {"grid_side": (_SIZE, 10), "max_steps": (_SIZE, 25), "tolerance": (_REAL, 0.0),
+               "m": (_ORDER, 5), "d": (_integer(1, 2), 2), "c": (_POSITIVE, 1.0)},
     "audit": {"kernel": (_of(dict, "a JSON object"), _REQUIRED),
               "data": (_ARRAY, _REQUIRED), "eval": (_ARRAY, _REQUIRED)},
 }
 
-_RUNNERS = {
-    "fig1": run_fig1,
-    "kansa": run_kansa,
-    "greedy": run_greedy,
-    "audit": run_audit,
-}
+_RUNNERS = {"fig1": run_fig1, "kansa": run_kansa, "greedy": run_greedy, "audit": run_audit}
 
 
 def _seed(text: str) -> int:
@@ -558,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None,
                        help="JSON file with parameter overrides")
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--seed", type=_seed, default=0)
         if name == "identities":
+            p.add_argument("--seed", type=_seed, default=0,
+                           help="suite i draws from seed + i")
             p.add_argument("--suite", action="append", dest="suites",
                            choices=IDENTITY_SUITES,
                            help="run only the named suites (repeatable)")
@@ -591,7 +381,7 @@ def main(argv=None) -> int:
             params["suites"] = args.suites
         if getattr(args, "perturb", False):
             params["perturb"] = True
-        config = ExperimentConfig(args.command, params, args.out, args.seed)
+        config = ExperimentConfig(args.command, params, args.out, getattr(args, "seed", 0))
 
         if args.command == "identities":
             text, ok = run_identities(config)

@@ -46,7 +46,9 @@ class Functional:
                 ("lacks key(s)", [n for n in names if n not in d]),
                 ("has unknown key(s)", [k for k in d if k not in names and k != "kind"]),
                 ("needs a JSON integer at", [n for n in names if type(d.get(n)) is not int
-                                             and cls.__annotations__[n] == "int"])]:
+                                             and cls.__annotations__[n] == "int"]),
+                ("needs JSON numbers at", [n for n in names if "float" in cls.__annotations__[n]
+                                           and not _json_numbers(d.get(n))])]:
             if bad:
                 raise ValueError(f"{cls.kind} functional {d} {problem} "
                                  f"{', '.join(map(repr, bad))}")
@@ -60,6 +62,12 @@ class Functional:
 def _field_names(cls) -> tuple[str, ...]:
     """A functional class's dataclass field names, read once per class."""
     return tuple(f.name for f in fields(cls))
+
+
+def _json_numbers(v) -> bool:
+    """Whether v is a JSON number or a JSON array of them (a bool or a string
+    is not), as a point's coordinates must be."""
+    return all(type(c) in (int, float) for c in (v if type(v) is list else [v]))
 
 
 def _point(x) -> tuple[float, ...]:

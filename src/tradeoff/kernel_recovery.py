@@ -50,8 +50,9 @@ class PowerEvaluation:
     """Squared add-one-in powers of a block of evaluation functionals, one
     entry or row each: the Schur-route P^2 (clamped at 0), the Lagrange
     values mu(u_j), K(mu, mu), the kernel rows mu^x lambda_j^y K, the
-    bordered-form value B of the second route and whether the routes agree;
-    for a single functional, that block's one row."""
+    bordered-form value B of the second route, whether the routes agree and
+    the roundoff floor F of P^2 (roundoff_floor); for a single functional,
+    that block's one row."""
 
     mu: Functional | tuple
     power_squared: np.ndarray
@@ -60,10 +61,17 @@ class PowerEvaluation:
     k_mu_lambda: np.ndarray
     bordered: np.ndarray
     agree: np.ndarray
+    floor: np.ndarray
 
     @property
     def excluded(self):
         return self.power_squared <= EXCLUDED_RTOL * self.k_mu_mu
+
+    @property
+    def unresolved(self):
+        """Rows double precision does not decide: routes that disagree, or
+        F > UNRESOLVED_RTOL * P^2 (a NaN power or floor is not unresolved)."""
+        return ~self.agree | (self.floor > UNRESOLVED_RTOL * self.power_squared)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -113,10 +121,7 @@ class PowerContext:
     """Factorization of the dual Gram of a functional set, reused across
     many evaluation functionals; NotPositiveDefinite if it fails."""
 
-    def __init__(self, kernel, lam_set: FunctionalSet | None,
-                 data_gram: np.ndarray | None = None):
-        """data_gram is the Gram of lam_set when the caller already holds it
-        (it must equal gram(kernel, lam_set)); by default it is assembled."""
+    def __init__(self, kernel, lam_set: FunctionalSet | None):
         self.kernel = kernel
         self.lam_set = lam_set
         if lam_set is None or len(lam_set) == 0:
@@ -124,7 +129,7 @@ class PowerContext:
             self.factor = None
             self._gram_scale = 0.0
         else:
-            self.gram = gram(kernel, lam_set) if data_gram is None else data_gram
+            self.gram = gram(kernel, lam_set)
             self.factor = linalg.factor_spd(self.gram)
             # max |diag(G)|, the scale of the cross-check's roundoff floor
             self._gram_scale = np.max(np.abs(np.diag(self.gram)))
@@ -133,18 +138,13 @@ class PowerContext:
     def _abs_gram(self) -> np.ndarray:
         return np.abs(self.gram)
 
-    def roundoff_floor(self, kmm: np.ndarray, kml: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """roundoff_floor over this context's data Gram."""
-        return roundoff_floor(self._abs_gram, kmm, kml, w)
-
     def power_batch(self, mus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(power_squared, lagrange_values, k_mu_mu) of the block
         power_squared(mus) without its cross-check."""
         ev = self.power_squared(list(mus), cross_check=False)
         return ev.power_squared, ev.lagrange_values, ev.k_mu_mu
 
-    def power_squared(self, mu, cross_check: bool = True,
-                      kernel_values: tuple | None = None) -> PowerEvaluation:
+    def power_squared(self, mu, cross_check: bool = True) -> PowerEvaluation:
         """Squared powers of a block of evaluation functionals mu via the
         Schur complement K_mumu - k^T w (schur_batch), with the Lagrange
         values w = G^-1 k, and the paper's second route: the bordered form
@@ -153,26 +153,19 @@ class PowerContext:
         agree marks the rows whose routes agree within _AGREE_RTOL, with an
         absolute floor at the backward-error level of their difference
         w^T (G w - k); with cross_check a disagreement raises ArithmeticError.
+        Each row also gets its roundoff floor F, from one |W| |G| product.
 
         A single Functional is the block of one and gets that row.
-        kernel_values is (K(mu, mu), K(mu, Lambda)) when the caller holds
-        them (equal to kernel.diag and kernel.cross of the block; the second
-        is ignored without data); by default they are evaluated here.
         """
         single = isinstance(mu, Functional)
         mus = (mu,) if single else tuple(mu)
         n = len(self.gram)
-        if kernel_values is None:
-            kmm = self.kernel.diag(mus)
-            kml = None if self.factor is None else self.kernel.cross(mus, self.lam_set)
-        else:
-            kmm, kml = kernel_values
-        kmm = np.reshape(kmm, len(mus))
+        kmm = np.reshape(self.kernel.diag(mus), len(mus))
         if self.factor is None:
             kml = w = np.zeros((len(mus), 0))
             schur = kmm
         else:
-            kml = np.reshape(kml, (len(mus), n))
+            kml = np.reshape(self.kernel.cross(mus, self.lam_set), (len(mus), n))
             schur, w = schur_batch(self.factor, kmm, kml)
         bordered = _bordered_form(kmm, kml, w, self.gram)
         floor = 1e-13 * n * (np.abs(kmm) + _rowdot(w, w) * self._gram_scale)
@@ -184,7 +177,8 @@ class PowerContext:
             raise ArithmeticError(
                 f"power-function routes disagree at {mus[i]!r}: "
                 f"schur={schur[i]:.6e} bordered={bordered[i]:.6e}")
-        rows = (np.maximum(schur, 0.0), w, kmm, kml, bordered, agree)
+        rows = (np.maximum(schur, 0.0), w, kmm, kml, bordered, agree,
+                roundoff_floor(self._abs_gram, kmm, kml, w))
         if single:
             return PowerEvaluation(mu, *(v[0] for v in rows))
         return PowerEvaluation(mus, *rows)
@@ -224,9 +218,9 @@ def lagrangian_norm_squared(kernel, lam_set: FunctionalSet | None, mu: Functiona
 def tradeoff_report(kernel, lam_set: FunctionalSet | None, eval_set) -> list[TradeoffReport]:
     """One report per evaluation functional: power, Lagrangian norm, product.
     Excluded (reproduced) functionals are flagged, not fatal, and so are
-    unresolved ones, whose power lies below its roundoff floor F
-    (PowerContext.roundoff_floor): F > UNRESOLVED_RTOL * P^2, or whose
-    Schur and bordered routes disagree (PowerEvaluation.agree).  An
+    unresolved ones (PowerEvaluation.unresolved), whose power lies below
+    its roundoff floor F: F > UNRESOLVED_RTOL * P^2, or whose Schur and
+    bordered routes disagree (PowerEvaluation.agree).  An
     unresolved row keeps its Schur power and the norm read off its bordered
     value, so its product is their ratio, but double precision does not
     decide them.  An excluded row stays excluded whatever its routes give.
@@ -234,11 +228,11 @@ def tradeoff_report(kernel, lam_set: FunctionalSet | None, eval_set) -> list[Tra
     The rows come in blocks of _REPORT_BLOCK, and each block is one array
     pass: one power_squared call (one diag and one cross call, which spread
     the kernel's per-call cost over the block, one multi-right-hand-side
-    solve of the factored Gram, the block's Schur values, bordered values
-    and route checks), one lagrangian_norm_squared call, and one product
-    for the floors.  The block solve rounds differently from a per-row one,
-    so a row's power may differ from what power_squared of that functional
-    alone gives by up to F.
+    solve of the factored Gram, the block's Schur values, bordered values,
+    route checks and one product for the floors) and one
+    lagrangian_norm_squared call.  The block solve rounds differently from
+    a per-row one, so a row's power may differ from what power_squared of
+    that functional alone gives by up to F.
     """
     ctx = PowerContext(kernel, lam_set)
     mus = list(eval_set)
@@ -246,10 +240,8 @@ def tradeoff_report(kernel, lam_set: FunctionalSet | None, eval_set) -> list[Tra
     for start in range(0, len(mus), _REPORT_BLOCK):
         ev = ctx.power_squared(mus[start:start + _REPORT_BLOCK], cross_check=False)
         norm = np.sqrt(ctx.lagrangian_norm_squared(ev))
-        floor = ctx.roundoff_floor(ev.k_mu_mu, ev.k_mu_lambda, ev.lagrange_values)
-        unresolved = ~ev.agree | (floor > UNRESOLVED_RTOL * ev.power_squared)
         flags = np.where(ev.excluded, FLAG_EXCLUDED,
-                         np.where(unresolved, FLAG_UNRESOLVED, FLAG_OK))
+                         np.where(ev.unresolved, FLAG_UNRESOLVED, FLAG_OK))
         out += map(TradeoffReport, ev.mu, np.sqrt(ev.power_squared).tolist(),
                    norm.tolist(), flags.tolist())
     return out

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracle
-from tradeoff import cli, kernel_recovery, linalg
+from tradeoff import cli, identities, kernel_recovery, linalg
 from tradeoff.cli import ExperimentConfig, main, run_fig1, run_greedy, run_identities, run_kansa
 from tradeoff.errors import NotPositiveDefinite
 from tradeoff.functionals import FunctionalSet, LaplacianEval
@@ -144,20 +144,20 @@ def test_identities_suite_filter(tmp_path):
 
 
 # each closed form the suites call, with the suite that calls it
-_CLOSED_FORMS = [("poly", cli.expansion, "poly_power"),
-                 ("poly", cli.expansion, "poly_lagrangian_seminorm"),
-                 ("ctd", cli.expansion, "ctd_power"),
-                 ("ctd", cli.expansion, "ctd_lagrangian_norm"),
-                 ("taylor", cli.expansion, "taylor_power"),
-                 ("taylor", cli.expansion, "taylor_lagrangian_norm"),
-                 ("ortho", cli.expansion, "ortho_power_and_bump"),
-                 ("svd", cli.unsymmetric, "svd_power_squared"),
-                 ("svd", cli.unsymmetric, "svd_bump_min")]
+_CLOSED_FORMS = [("poly", identities.expansion, "poly_power"),
+                 ("poly", identities.expansion, "poly_lagrangian_seminorm"),
+                 ("ctd", identities.expansion, "ctd_power"),
+                 ("ctd", identities.expansion, "ctd_lagrangian_norm"),
+                 ("taylor", identities.expansion, "taylor_power"),
+                 ("taylor", identities.expansion, "taylor_lagrangian_norm"),
+                 ("ortho", identities.expansion, "ortho_power_and_bump"),
+                 ("svd", identities.unsymmetric, "svd_power_squared"),
+                 ("svd", identities.unsymmetric, "svd_bump_min")]
 
 
 def test_identities_suite_error_is_a_failure_not_a_crash(tmp_path, monkeypatch):
     # a closed form that raises fails its own suite, and only that one
-    suites = [name for name in cli.IDENTITY_SUITES if name != "kernel"]
+    suites = [name for name in identities.IDENTITY_SUITES if name != "kernel"]
     for suite, module, name in _CLOSED_FORMS:
         def broken(*args, name=name):
             raise ArithmeticError(f"broken {name}")
@@ -175,7 +175,7 @@ def test_identities_suite_error_is_a_failure_not_a_crash(tmp_path, monkeypatch):
 
 
 # The suites as they were written first, one evaluation point at a time:
-# the oracles that the vectorized suites and the one-Gram kernel suite must
+# the oracles that the vectorized suites and the block kernel suite must
 # equal bit for bit.  The ctd loop spells out the closed forms in Python
 # floats; the poly, taylor, ortho and svd loops spell out the scalar closed
 # forms as they were, one numpy reduction over one case each.  None of them
@@ -220,7 +220,7 @@ def _scalar_poly_suite(rng):
 def _scalar_taylor_suite(rng):
     worst = 0.0
     for _ in range(100):
-        rule = parse_weight_rule(cli._TAYLOR_RULES[int(rng.integers(0, len(cli._TAYLOR_RULES)))])
+        rule = parse_weight_rule(identities._TAYLOR_RULES[int(rng.integers(0, len(identities._TAYLOR_RULES)))])
         k = int(rng.integers(0, 40))
         rk = float(rule(k))
         prod = math.sqrt(rk) / math.factorial(k) * (math.factorial(k) / math.sqrt(rk))
@@ -260,23 +260,23 @@ def _scalar_svd_suite(rng):
 def _per_mu_kernel_suite(rng, perturb):
     """Largest |product - 1| over the resolved instances, and the count of
     unresolved ones: below the row-by-row floor of tests/oracle.py
-    (F > UNRESOLVED_RTOL P^2), or with a data or extended Gram that fails
-    its Cholesky factorization."""
+    (F > UNRESOLVED_RTOL P^2), with routes that disagree, or with a data or
+    extended Gram that fails its Cholesky factorization."""
     devs, unresolved = [], 0
-    for m, d in cli._KERNEL_SWEEP:
-        kernel, lam_set, mus = cli._kernel_instance(rng, m, d)
+    for m, d in identities._KERNEL_SWEEP:
+        kernel, lam_set, mus = identities._kernel_instance(rng, m, d)
         try:
             ctx = kernel_recovery.PowerContext(kernel, lam_set)
         except NotPositiveDefinite:
             unresolved += len(mus)
             continue
         for mu in mus:
-            ev = ctx.power_squared(mu)
+            ev = ctx.power_squared(mu, cross_check=False)
             if ev.excluded:
                 continue
             floor = oracle.roundoff_floor(ev.k_mu_mu, ev.k_mu_lambda,
                                           ev.lagrange_values, ctx.gram)
-            if floor > kernel_recovery.UNRESOLVED_RTOL * ev.power_squared:
+            if not ev.agree or floor > kernel_recovery.UNRESOLVED_RTOL * ev.power_squared:
                 unresolved += 1
                 continue
             ext = FunctionalSet([mu] + list(lam_set))
@@ -306,7 +306,7 @@ def _outcome(suite, *args):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_ctd_suite_equals_the_scalar_loop_bit_for_bit(seed):
-    assert _outcome(cli._identity_ctd, np.random.default_rng(seed)) \
+    assert _outcome(identities._identity_ctd, np.random.default_rng(seed)) \
         == _outcome(_scalar_ctd_suite, np.random.default_rng(seed))
 
 
@@ -316,7 +316,7 @@ def test_ctd_suite_equals_the_scalar_loop_bit_for_bit(seed):
     ("ortho", _scalar_ortho_suite), ("svd", _scalar_svd_suite)],
     ids=["poly", "taylor", "ortho", "svd"])
 def test_batched_suite_equals_the_scalar_loop_bit_for_bit(suite, scalar_loop, seed):
-    batched = getattr(cli, f"_identity_{suite}")
+    batched = getattr(identities, f"_identity_{suite}")
     assert _outcome(batched, np.random.default_rng(seed)) \
         == _outcome(scalar_loop, np.random.default_rng(seed))
 
@@ -324,7 +324,7 @@ def test_batched_suite_equals_the_scalar_loop_bit_for_bit(suite, scalar_loop, se
 @pytest.mark.parametrize("perturb", [False, True], ids=["plain", "perturb"])
 @pytest.mark.parametrize("seed", range(20))
 def test_kernel_suite_equals_the_per_mu_loop_bit_for_bit(seed, perturb):
-    assert _outcome(cli._identity_kernel, np.random.default_rng(seed), perturb) \
+    assert _outcome(identities._identity_kernel, np.random.default_rng(seed), perturb) \
         == _outcome(_per_mu_kernel_suite, np.random.default_rng(seed), perturb)
 
 
@@ -336,7 +336,7 @@ def test_kernel_suite_passes_on_every_resolved_instance(tmp_path, seed):
     cfg = ExperimentConfig("identities", params={"suites": ["kernel"]},
                            out_dir=tmp_path, seed=seed)
     text, ok = run_identities(cfg)
-    rng = np.random.default_rng(seed + cli.IDENTITY_SUITES.index("kernel"))
+    rng = np.random.default_rng(seed + identities.IDENTITY_SUITES.index("kernel"))
     worst, unresolved = _per_mu_kernel_suite(rng, False)
     assert ok and worst <= 1e-5
     assert text.splitlines()[1] == (f"PASS kernel: max |P^2*norm^2 - 1| = {worst:.3e} "
@@ -354,7 +354,7 @@ def test_kernel_suite_fails_on_a_nan_product(tmp_path, monkeypatch):
     assert "FAIL kernel: max |P^2*norm^2 - 1| = nan (tol 1e-5)" in text
 
 
-def test_kernel_suite_evaluates_one_gram_per_instance(monkeypatch):
+def test_kernel_suite_evaluates_a_gram_a_cross_and_a_diag_per_instance(monkeypatch):
     calls = Counter()
 
     class CountingMatern(MaternSobolevKernel):
@@ -366,11 +366,13 @@ def test_kernel_suite_evaluates_one_gram_per_instance(monkeypatch):
             calls["cross"] += 1
             return super().cross(set_a, set_b)
 
-    monkeypatch.setattr(cli, "MaternSobolevKernel", CountingMatern)
-    cli._identity_kernel(np.random.default_rng(0))
-    # per (m, d) instance: the one Gram over the evaluation functionals and
-    # the data, whose data block is the context's Gram; no diag
-    assert calls == {"cross": len(cli._KERNEL_SWEEP)}
+    monkeypatch.setattr(identities, "MaternSobolevKernel", CountingMatern)
+    identities._identity_kernel(np.random.default_rng(0))
+    # per (m, d) instance, the audit's route: the context's data Gram, then
+    # one block power_squared call, one cross against the data and one
+    # diag; each extended Gram borders the data Gram with those values
+    n = len(identities._KERNEL_SWEEP)
+    assert calls == {"cross": 2 * n, "diag": n}
 
 
 def test_greedy_runner(tmp_path):
@@ -510,7 +512,7 @@ def _rejected(tmp_path, capsys, command: str, params) -> tuple[str, Path]:
 def test_cli_main_identities_rejects_unknown_suites(tmp_path, capsys):
     err, out = _rejected(tmp_path, capsys, "identities", {"suites": ["poly", "kernal"]})
     assert "['kernal']" in err
-    assert all(name in err for name in cli.IDENTITY_SUITES)
+    assert all(name in err for name in identities.IDENTITY_SUITES)
     assert not (out / "identities_report.txt").exists()
 
 
@@ -526,6 +528,20 @@ def test_cli_main_rejects_a_bad_seed_with_exit_2(tmp_path, capsys, seed):
     assert captured.out == ""
     assert "argument --seed: must be a non-negative integer" in captured.err
     assert not (out / "identities_report.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["fig1", "kansa", "greedy", "audit"])
+def test_cli_main_rejects_a_seed_outside_identities(tmp_path, capsys, command):
+    # the suites alone read the seed; elsewhere --seed is a usage error, not
+    # a flag that is silently ignored
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --seed 1" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("rtol", [2.0, 0, -1])
@@ -630,6 +646,29 @@ _MATERN_5_5 = {"kernel": {"family": "matern", "m": 5.5, "d": 2},
     ("audit", _audit(kernel={**_MATERN_1D, "c": "1"}), "needs a JSON number at 'c'"),
     ("audit", _audit(kernel={**_MATERN_1D, "c": float("nan")}), "scale must be positive"),
     ("audit", _audit(kernel={**_CHEBWEIGHT, "K": "121"}), "needs a JSON integer at 'K'"),
+    ("greedy", {"d": 3}, "d must be <= 2, got 3"),
+    ("greedy", {"d": 0}, "d must be >= 1, got 0"),
+    ("greedy", {"m": 2}, "m must be a finite number that is a whole number >= 3, got 2"),
+    ("kansa", {"m": 4.5}, "m must be a finite number that is a whole number >= 3, got 4.5"),
+    ("greedy", {"c": -1}, "c must be a finite number > 0, got -1"),
+    ("kansa", {"c": -1}, "c must be a finite number > 0, got -1"),
+    ("kansa", {"c": 0.0}, "c must be a finite number > 0, got 0.0"),
+    ("fig1", {"weights": "(j+1)^x"},
+     "weights must be a weight rule that parses: cannot parse weight rule '(j+1)^x'"),
+    ("fig1", {"weights": "0"}, "weights must be a weight rule that parses: constant weight"),
+    ("kansa", {"trial_points": [["0.1", "0.2"]]}, "trial_points must be a JSON array of "
+     "[x, y] points of finite numbers, got [['0.1', '0.2']]"),
+    ("kansa", {"trial_points": [[0.1, 0.2], [0.3, True]]}, "got [[0.1, 0.2], [0.3, True]]"),
+    ("kansa", {"trial_points": [[0.1, 0.2, 0.3]]}, "got [[0.1, 0.2, 0.3]]"),
+    ("kansa", {"trial_points": [[0.1, float("nan")]]}, "got [[0.1, nan]]"),
+    ("audit", _audit(eval=[{"kind": "point", "x": ["0.5", True]}]),
+     "point functional {'kind': 'point', 'x': ['0.5', True]} needs JSON numbers at 'x'"),
+    ("audit", _audit(data=[{"kind": "point", "x": "0.1"}]), "needs JSON numbers at 'x'"),
+    ("audit", _audit(data=[{"kind": "deriv", "x": [False], "order": 0}]),
+     "needs JSON numbers at 'x'"),
+    ("audit", {**_MATERN_5_5, "kernel": {"family": "matern", "m": 5, "d": 2},
+               "eval": [{"kind": "laplacian", "x": [0.3, "0.4"]}]},
+     "needs JSON numbers at 'x'"),
 ], ids=["list", "string", "n_side_fraction", "eval_side_float", "n_points_string",
         "n_points_float", "max_steps_fraction", "max_steps_zero", "grid_side_bool",
         "greedy_m_fraction", "audit_m_fraction", "greedy_m_string", "greedy_c_string",
@@ -643,7 +682,11 @@ _MATERN_5_5 = {"kernel": {"family": "matern", "m": 5.5, "d": 2},
         "audit_data_object", "trial_points_object", "suites_empty", "suites_string",
         "families_empty", "families_unknown", "functional_int", "functional_kind_list",
         "point_with_order", "coeff_j_fraction", "deriv_order_float", "matern_scale_key",
-        "matern_c_string", "matern_c_nan", "chebweight_K_string"])
+        "matern_c_string", "matern_c_nan", "chebweight_K_string", "greedy_d_3",
+        "greedy_d_0", "greedy_m_2", "kansa_m_fraction", "greedy_c_negative",
+        "kansa_c_negative", "kansa_c_zero", "fig1_weights_unparseable", "fig1_weights_zero",
+        "trial_points_strings", "trial_points_bool", "trial_points_3d", "trial_points_nan",
+        "point_x_string_and_bool", "point_x_string", "deriv_x_bool", "laplacian_x_string"])
 def test_cli_main_rejects_a_bad_config_with_exit_2(tmp_path, capsys, command, params, named):
     err, out = _rejected(tmp_path, capsys, command, params)
     assert named in err

@@ -339,15 +339,12 @@ def test_report_powers_within_the_floor_of_a_50_digit_oracle():
 
 @pytest.mark.parametrize("problem", [_near_site_matern, _hermite_1d])
 def test_report_floor_equals_the_oracle_floor(problem):
-    # the library's blocked floor (one |W| |G| product per batch) against
-    # the row-by-row formula of tests/oracle.py, and the flags it decides
+    # the library's blocked floor (one |W| |G| product per block), as the
+    # report's evaluations carry it, against the row-by-row formula of
+    # tests/oracle.py, and the flags it decides
     kernel, lam, mus = problem()
     reports, evs = _block_evaluations(kernel, lam, mus)
-    ctx = PowerContext(kernel, lam)
-    kmm = np.array([ev.k_mu_mu for ev in evs])
-    kml = np.array([ev.k_mu_lambda for ev in evs])
-    w = np.array([ev.lagrange_values for ev in evs])
-    got = ctx.roundoff_floor(kmm, kml, w)
+    got = [ev.floor for ev in evs]
     ref = _floors(kernel, lam, evs)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
     for r, ev, floor in zip(reports, evs, ref):
@@ -437,6 +434,25 @@ def test_every_ok_row_holds_the_product_identity(seed):
     assert all(abs(r.product - 1.0) <= 1e-5 for r in reports if r.flag == FLAG_OK), seed
 
 
+@pytest.mark.parametrize("seed", [0, 2, 3, 5])
+def test_every_ok_row_lies_within_1e_4_of_a_30_digit_oracle(seed):
+    # the rule that flags a row ok (PowerEvaluation.unresolved is false and
+    # it is not excluded) must mean its power is right: each ok P^2 within
+    # 1e-4 relative of mpmath at 30 digits.  Seeds 0 and 5 are 2-d (17 and
+    # 4 sites), 2 and 3 are 1-d; 2-d problems of 20 sites and more take 3 s
+    # or more each at 30 digits, so they are left out
+    pytest.importorskip("mpmath")
+    kernel, sites, mus = _random_problem(seed)
+    reports = tradeoff_report(kernel, FunctionalSet(sites), mus)
+    ok = [r.mu for r in reports if r.flag == FLAG_OK]
+    p2 = np.array([r.power for r in reports if r.flag == FLAG_OK]) ** 2
+    exact = oracle.MaternPointOracle(kernel.m, kernel.d, kernel.c, dps=30).power_squared(
+        [f.x for f in sites], [f.x for f in ok])
+    exact = np.array(exact, dtype=float)
+    assert len(ok) >= 20
+    assert np.all(np.abs(p2 - exact) <= 1e-4 * exact), seed
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_the_bordered_form_is_minimal_at_the_lagrange_values(seed):
@@ -457,12 +473,13 @@ def test_the_bordered_form_is_minimal_at_the_lagrange_values(seed):
     assert np.array_equal(ev.power_squared, np.maximum(p2, 0.0))
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-12.0, 0.0, size=(len(w), 1))
+    abs_gram = np.abs(ctx.gram)
     for c in (w, w + scale * rng.normal(size=w.shape) * (np.abs(w) + 1.0),
               rng.normal(size=w.shape)):
         form = kernel_recovery._bordered_form(kmm, kml, c, ctx.gram)
-        assert np.all(form >= p2 - ctx.roundoff_floor(kmm, kml, c)), seed
+        assert np.all(form >= p2 - kernel_recovery.roundoff_floor(abs_gram, kmm, kml, c)), seed
     assert np.array_equal(kernel_recovery._bordered_form(kmm, kml, w, ctx.gram), ev.bordered)
-    assert np.all(np.abs(ev.bordered - p2) <= ctx.roundoff_floor(kmm, kml, w)), seed
+    assert np.all(np.abs(ev.bordered - p2) <= ev.floor), seed
 
 
 def test_near_coincident_sites_raise_not_positive_definite():
