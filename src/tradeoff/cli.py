@@ -177,10 +177,10 @@ KANSA_CSV_HEADER = "x,y,p2_unsym,p2_sym,recip_pseudo_norm2"
 
 
 def _kansa_csv(points, p2u, p2s, recip=None) -> str:
-    lines = [KANSA_CSV_HEADER]
-    for i, (x, y) in enumerate(points):
-        r = f"{recip[i]:.17g}" if recip is not None else "nan"
-        lines.append(f"{x:.17g},{y:.17g},{p2u[i]:.17g},{p2s[i]:.17g},{r}")
+    recip = ["nan"] * len(points) if recip is None else [f"{r:.17g}" for r in recip.tolist()]
+    lines = [KANSA_CSV_HEADER] + [
+        f"{x:.17g},{y:.17g},{u:.17g},{v:.17g},{r}"
+        for (x, y), u, v, r in zip(points.tolist(), p2u.tolist(), p2s.tolist(), recip)]
     return "\n".join(lines) + "\n"
 
 
@@ -199,9 +199,9 @@ def run_kansa(config: ExperimentConfig) -> dict:
 
     h = np.arange(1, eval_side + 1) / (eval_side + 1.0)
     grid_i = np.array([[x, y] for x in h for y in h])
-    mus_i = [LaplacianEval(tuple(p)) for p in grid_i]
+    mus_i = FunctionalSet([LaplacianEval(tuple(p)) for p in grid_i])
     grid_b = unit_square_perimeter(np.arange(eval_boundary) * 4.0 / eval_boundary)
-    mus_b = [PointEval(tuple(p)) for p in grid_b]
+    mus_b = FunctionalSet([PointEval(tuple(p)) for p in grid_b])
 
     p2u_i, p2s_i = unsymmetric.kansa_power_squared_batch(rec, mus_i)
     p2u_b, p2s_b = unsymmetric.kansa_power_squared_batch(rec, mus_b)

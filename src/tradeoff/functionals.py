@@ -225,19 +225,22 @@ class FunctionalSet:
         return self.functionals[i]
 
     @cached_property
-    def radial_layout(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def radial_layout(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]] | None:
         """Each member's ``order`` and ``site``, as a read-only int vector and
-        (n, dim) array, computed once per set because a radial kernel reads
-        them on every call; None when they do not form such arrays (a member
-        without an order, or members on different R^dim).  Whether a kernel
-        can apply them is the kernel's check, not this one's."""
+        (n, dim) array, and the distinct orders, ascending; computed once per
+        set because a radial kernel reads them on every call.  None when they
+        do not form such arrays (a member without an order, or members on
+        different R^dim).  Whether a kernel can apply them is the kernel's
+        check, not this one's."""
         fs = self.functionals
         if any(f.order is None for f in fs) or len({f.dim for f in fs}) != 1:
             return None
-        orders = np.array([f.order for f in fs], dtype=int)
+        orders = [f.order for f in fs]
+        distinct = tuple(sorted(set(orders)))
+        orders = np.array(orders, dtype=int)
         sites = np.array([f.site for f in fs], dtype=float)
         orders.flags.writeable = sites.flags.writeable = False
-        return orders, sites
+        return orders, sites, distinct
 
     def to_json(self) -> list[dict]:
         return [f.to_json() for f in self.functionals]

@@ -5,7 +5,14 @@ vectorized set-against-set assembly via ``cross``, and scalar application
 via ``apply``, the 1 x 1 case of ``cross`` and bit for bit its entry.  The
 Matern ``cross`` evaluates each distinct kernel argument of an order block
 once and gathers the entries: grids and symmetric Grams repeat their
-distances many times over.  The Whittle-Matern radial profile is
+distances many times over.  Finding the distinct arguments (a sort) costs
+more than the kernel on them, so a kernel keeps that plan for its few most
+recent pairs of site arrays and any later block on the same sites, of any
+derivative orders, reuses it: a Kansa run sorts its interior grid against
+itself once, not once for A, once for the data Gram and once for K_TT.  The
+plans are bounded in number, since each holds an index per block entry, and
+live with the kernel, so a new kernel starts with none.  The Whittle-Matern
+radial profile is
 
     phi(r) = 2^(1-nu)/Gamma(nu) * (r/c)^nu * K_nu(r/c),   nu = m - d/2,
 
@@ -49,6 +56,13 @@ from .weights import weight_array
 
 # below s = r/c < 1e-6 the g-terms switch to their leading r -> 0 terms
 _SMALL_S = 1e-6
+
+# argument plans a Matern kernel keeps, dropping the least recently used.
+# Each holds one index per block entry, so the count bounds their memory.
+# A default Kansa run makes seven other blocks between the interior-by-
+# interior block of A = K(Lambda, T) and the data Gram's, and two between
+# that one and K_TT's, so eight keep the interior plan for both.
+_PLANS = 8
 
 
 def _bessel_ladder(orders, s: np.ndarray) -> dict:
@@ -160,6 +174,24 @@ def _functional_order(f: Functional, d: int) -> int:
     return f.order
 
 
+@lru_cache(maxsize=None)
+def _terms(nu: float, d: int, n_total: int) -> tuple:
+    """Term stack for n_total kernel derivatives (1-d) or n_total/2
+    Laplacian applications (2-d) of the profile of order nu; keyed by
+    value, so the cache holds no kernel, and no kernel's plans, alive."""
+    if nu <= n_total / 2.0:
+        raise UnsupportedPair(
+            f"nu = {nu} supports derivative order < {2 * nu}, needed {n_total}")
+    terms = {(0, nu): 1.0}
+    if d == 1:
+        for _ in range(n_total):
+            terms = _d_du(terms)
+    else:
+        for _ in range(n_total // 2):
+            terms = _laplace(terms, d)
+    return tuple(sorted(terms.items()))
+
+
 class MaternSobolevKernel:
     """Whittle-Matern kernel of Sobolev order m on R^d at length scale c.
 
@@ -183,6 +215,8 @@ class MaternSobolevKernel:
         self.c = float(c)
         self.nu = self.m - self.d / 2.0
         self._norm = 2.0 ** (1.0 - self.nu) / _gamma(self.nu)
+        # (site bytes a, site bytes b) -> (distinct arguments, entry index)
+        self._plans: dict = {}
 
     def __repr__(self) -> str:
         return f"MaternSobolevKernel(m={self.m}, d={self.d}, c={self.c})"
@@ -194,28 +228,11 @@ class MaternSobolevKernel:
     def __hash__(self) -> int:
         return hash((self.m, self.d, self.c))
 
-    @lru_cache(maxsize=None)
-    def _terms(self, n_total: int) -> tuple:
-        """Term stack for n_total kernel derivatives (1-d) or n_total/2
-        Laplacian applications (2-d)."""
-        if self.nu <= n_total / 2.0:
-            raise UnsupportedPair(
-                f"nu = {self.nu} supports derivative order < {2 * self.nu}, "
-                f"needed {n_total}")
-        terms = {(0, self.nu): 1.0}
-        if self.d == 1:
-            for _ in range(n_total):
-                terms = _d_du(terms)
-        else:
-            for _ in range(n_total // 2):
-                terms = _laplace(terms, self.d)
-        return tuple(sorted(terms.items()))
-
     def _radial(self, n_a: int, n_b: int, u: np.ndarray) -> np.ndarray:
         """lambda^x mu^y K for derivative orders (n_a, n_b); u is the signed
         difference (x-y)/c in 1-d, the distance r/c in 2-d."""
         n = n_a + n_b
-        terms = self._terms(n)
+        terms = _terms(self.nu, self.d, n)
         s = np.abs(u)
         # each Bessel order once per block, shared by the terms that use it
         bessel = _bessel({abs(a) for (_, a), _ in terms}, s[s >= _SMALL_S])
@@ -229,51 +246,73 @@ class MaternSobolevKernel:
         return sign * self._norm * acc / self.c ** n
 
     def apply(self, lam: Functional, mu: Functional) -> float:
-        (n_a, n_b), sites = self._layout([lam, mu])
+        (n_a, n_b), sites, _ = self._layout([lam, mu])
         # Python ints: c ** n rounds differently for a NumPy integer n
         return float(self._radial_block(int(n_a), int(n_b), sites[:1], sites[1:])[0, 0])
 
-    def _layout(self, fset) -> tuple[np.ndarray, np.ndarray]:
-        """Derivative orders and sites of fset as arrays.  A FunctionalSet
-        computes them once (``radial_layout``) and they are checked against
-        this kernel here, by the rule ``_functional_order`` applies to one
-        functional; any other sequence, or a set that fails the check, goes
-        functional by functional, which names the one at fault."""
+    def _layout(self, fset) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """Derivative orders and sites of fset as arrays, and its distinct
+        orders, ascending.  A FunctionalSet computes them once
+        (``radial_layout``) and they are checked against this kernel here, by
+        the rule ``_functional_order`` applies to one functional; any other
+        sequence, or a set that fails the check, goes functional by
+        functional, which names the one at fault."""
         layout = getattr(fset, "radial_layout", None)
         if layout is not None:
-            orders, sites = layout
-            if _order_problem(set(orders.tolist()), sites.shape[1], self.d) is None:
+            _, sites, distinct = layout
+            if _order_problem(distinct, sites.shape[1], self.d) is None:
                 return layout
         fs = list(fset)
-        orders = np.array([_functional_order(f, self.d) for f in fs], dtype=int)
-        return orders, np.array([f.site for f in fs], dtype=float)
+        orders = [_functional_order(f, self.d) for f in fs]
+        return (np.array(orders, dtype=int), np.array([f.site for f in fs], dtype=float),
+                tuple(sorted(set(orders))))
+
+    def _plan(self, pts_a: np.ndarray, pts_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct kernel arguments over every pair of sites, ascending
+        as bit patterns (so -0.0 and 0.0 stay apart), and each entry's index
+        into them.  The distances take one difference array per coordinate,
+        squared in place: sqrt(dx*dx + dy*dy).  The last _PLANS plans with
+        repeated arguments are kept, keyed by the exact bytes of the two site
+        arrays; a plan whose arguments are all distinct saves nothing."""
+        key = (pts_a.tobytes(), pts_b.tobytes())
+        plan = self._plans.pop(key, None)
+        if plan is None:
+            u = pts_a[:, None, 0] - pts_b[None, :, 0]
+            if self.d == 2:
+                dy = pts_a[:, None, 1] - pts_b[None, :, 1]
+                np.multiply(u, u, out=u)
+                np.multiply(dy, dy, out=dy)
+                u += dy
+                np.sqrt(u, out=u)
+            u /= self.c
+            keys, inverse = np.unique(u.view(np.int64), return_inverse=True)
+            plan = keys.view(float), inverse.reshape(u.shape)
+            if keys.size == u.size:
+                return plan
+        self._plans[key] = plan
+        if len(self._plans) > _PLANS:
+            del self._plans[next(iter(self._plans))]
+        return plan
 
     def _radial_block(self, n_a: int, n_b: int, pts_a, pts_b) -> np.ndarray:
         """_radial over every pair of sites, run once per distinct argument
-        (distinct as a bit pattern, so -0.0 and 0.0 stay apart) and gathered;
-        _radial is elementwise, so each entry is bit for bit the one a
-        full-array evaluation gives.  The distances take one difference
-        array per coordinate, squared in place: sqrt(dx*dx + dy*dy)."""
-        u = pts_a[:, None, 0] - pts_b[None, :, 0]
-        if self.d == 2:
-            dy = pts_a[:, None, 1] - pts_b[None, :, 1]
-            np.multiply(u, u, out=u)
-            np.multiply(dy, dy, out=dy)
-            u += dy
-            np.sqrt(u, out=u)
-        u /= self.c
-        keys, inverse = np.unique(u.view(np.int64), return_inverse=True)
-        return self._radial(n_a, n_b, keys.view(float))[inverse.reshape(u.shape)]
+        of the sites' plan and gathered; _radial is elementwise, so each
+        entry is bit for bit the one a full-array evaluation gives."""
+        args, inverse = self._plan(pts_a, pts_b)
+        return self._radial(n_a, n_b, args)[inverse]
 
     def cross(self, set_a, set_b) -> np.ndarray:
         """Matrix of apply(a_i, b_j), assembled blockwise by derivative order,
-        each block evaluating each distinct kernel argument once."""
-        orders_a, pts_a = self._layout(set_a)
-        orders_b, pts_b = self._layout(set_b)
+        each block evaluating each distinct kernel argument once; one block
+        when each side has a single order."""
+        orders_a, pts_a, distinct_a = self._layout(set_a)
+        orders_b, pts_b, distinct_b = self._layout(set_b)
+        if len(distinct_a) == len(distinct_b) == 1:
+            return self._radial_block(distinct_a[0], distinct_b[0], pts_a, pts_b)
         out = np.empty((len(orders_a), len(orders_b)))
-        for na in sorted(set(orders_a.tolist())):
+        for na in distinct_a:
             ia = np.flatnonzero(orders_a == na)
-            for nb in sorted(set(orders_b.tolist())):
+            for nb in distinct_b:
                 ib = np.flatnonzero(orders_b == nb)
                 out[np.ix_(ia, ib)] = self._radial_block(na, nb, pts_a[ia], pts_b[ib])
         return out

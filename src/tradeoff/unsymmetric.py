@@ -155,9 +155,10 @@ def kansa_power_squared_batch(rec: UnsymmetricRecovery, mus) -> tuple[np.ndarray
     Both are ||mu - sum_j c_j lambda_j||^2 over the one data Gram of
     rec.context, from one K(mu, Lambda) and K(mu, mu): p2_unsym is the
     bordered form at the pseudo-Lagrange values c = mu(v) C, p2_sym its
-    minimum, power_batch's Schur value bit for bit.
+    minimum, power_batch's Schur value bit for bit.  A FunctionalSet of mus
+    computes its radial layout once for the three kernel calls.
     """
-    mus = list(mus)
+    mus = mus if isinstance(mus, FunctionalSet) else list(mus)
     kmm = rec.kernel.diag(mus)
     kml = rec.kernel.cross(mus, rec.functionals)
     b = linalg.matmul(rec.kernel.cross(mus, rec.trial_functionals),

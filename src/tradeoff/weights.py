@@ -31,14 +31,18 @@ class WeightRule:
     p: float = 0.0
 
     def __call__(self, j: int) -> float:
+        """w_j; BadWeights when it exceeds the largest double."""
         if self.kind == "const":
             return self.a
-        if self.kind == "poly":
-            return (j + self.a) ** self.p
         try:
-            return math.factorial(j) ** 2 / self.a ** j
+            if self.kind == "poly":
+                return (j + self.a) ** self.p
+            try:
+                return math.factorial(j) ** 2 / self.a ** j
+            except OverflowError:
+                return math.exp(self.log(j))
         except OverflowError:
-            return math.exp(self.log(j))
+            raise BadWeights(f"weights overflow a double: w_{j} of {self}") from None
 
     def log(self, j: int) -> float:
         if self.kind == "const":

@@ -116,6 +116,34 @@ def test_kansa_evaluates_each_row_once(monkeypatch, tmp_path):
     assert calls == {"cross": 7, "diag": 2}
 
 
+def test_a_default_kansa_run_sorts_each_pair_of_site_arrays_once(monkeypatch, tmp_path):
+    # the kernel's argument plans carry A's interior-by-interior sort over
+    # to the data Gram and K_TT: np.unique runs once per distinct pair
+    pairs, sorted_pairs, current = Counter(), [], [None]
+    plan, unique = MaternSobolevKernel._plan, np.unique
+
+    def recording_plan(self, pts_a, pts_b):
+        current[0] = pts_a.tobytes(), pts_b.tobytes()
+        pairs[current[0]] += 1
+        try:
+            return plan(self, pts_a, pts_b)
+        finally:
+            current[0] = None
+
+    def recording_unique(*args, **kwargs):
+        if current[0] is not None:
+            sorted_pairs.append(current[0])
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(MaternSobolevKernel, "_plan", recording_plan)
+    monkeypatch.setattr(np, "unique", recording_unique)
+    run_kansa(ExperimentConfig("kansa", out_dir=tmp_path))
+    assert Counter(sorted_pairs) == Counter(set(pairs))
+    # A, the data Gram and K_TT each have an interior-by-interior block
+    assert max(pairs.values()) == 3
+    assert len(sorted_pairs) < sum(pairs.values())
+
+
 def test_identities_deterministic(tmp_path):
     cfg1 = ExperimentConfig("identities", out_dir=tmp_path / "a", seed=123)
     text1, ok1 = run_identities(cfg1)
@@ -669,6 +697,11 @@ _MATERN_5_5 = {"kernel": {"family": "matern", "m": 5.5, "d": 2},
     ("audit", {**_MATERN_5_5, "kernel": {"family": "matern", "m": 5, "d": 2},
                "eval": [{"kind": "laplacian", "x": [0.3, "0.4"]}]},
      "needs JSON numbers at 'x'"),
+    ("fig1", {"weights": "(j+1)^400"}, "weights overflow a double: w_5 of"),
+    ("fig1", {"weights": "(j+1)^200"}, "weights overflow a double: w_34 of"),
+    ("fig1", {"weights": "factorial_sq_over:1^j"}, "weights overflow a double: w_99 of"),
+    ("audit", _audit(kernel={**_CHEBWEIGHT, "weights": "(j+1)^400"}),
+     "weights overflow a double: w_5 of"),
 ], ids=["list", "string", "n_side_fraction", "eval_side_float", "n_points_string",
         "n_points_float", "max_steps_fraction", "max_steps_zero", "grid_side_bool",
         "greedy_m_fraction", "audit_m_fraction", "greedy_m_string", "greedy_c_string",
@@ -686,7 +719,9 @@ _MATERN_5_5 = {"kernel": {"family": "matern", "m": 5.5, "d": 2},
         "greedy_d_0", "greedy_m_2", "kansa_m_fraction", "greedy_c_negative",
         "kansa_c_negative", "kansa_c_zero", "fig1_weights_unparseable", "fig1_weights_zero",
         "trial_points_strings", "trial_points_bool", "trial_points_3d", "trial_points_nan",
-        "point_x_string_and_bool", "point_x_string", "deriv_x_bool", "laplacian_x_string"])
+        "point_x_string_and_bool", "point_x_string", "deriv_x_bool", "laplacian_x_string",
+        "fig1_weights_overflow_400", "fig1_weights_overflow_200",
+        "fig1_weights_factorial_overflow", "chebweight_weights_overflow"])
 def test_cli_main_rejects_a_bad_config_with_exit_2(tmp_path, capsys, command, params, named):
     err, out = _rejected(tmp_path, capsys, command, params)
     assert named in err

@@ -424,6 +424,45 @@ def test_cross_equals_full_block_evaluation_bit_for_bit(case):
     _assert_bitwise_equal(k.cross(list(fa), list(fb)), ref)
 
 
+def test_cross_on_a_warm_shared_kernel_equals_a_fresh_one_bit_for_bit():
+    # every case twice, shuffled, through one kernel per (m, d, c): each call
+    # may reuse the argument plans the others left, on either side
+    cases = _dedup_cases()
+    shared = {}
+    runs = [(name, form) for name in cases for form in (FunctionalSet, list)] * 2
+    for i in np.random.default_rng(3).permutation(len(runs)):
+        name, form = runs[i]
+        k, fa, fb = cases[name]
+        if form is FunctionalSet and not isinstance(fa, FunctionalSet):
+            continue
+        warm = shared.setdefault((k.m, k.d, k.c), MaternSobolevKernel(k.m, k.d, k.c))
+        got = warm.cross(form(fa), form(fb))
+        _assert_bitwise_equal(got, _cross_without_dedup(k, fa, fb))
+        _assert_bitwise_equal(got, MaternSobolevKernel(k.m, k.d, k.c).cross(fa, fb))
+    assert shared and all(warm._plans for warm in shared.values())
+
+
+def test_the_plans_stay_within_their_bound_and_skip_all_distinct_blocks():
+    k = MaternSobolevKernel(5, 2, 1.0)
+    rng = np.random.default_rng(17)
+    h = np.arange(1, 7) / 7.0
+    grids = [FunctionalSet([PointEval((x + dx, y)) for x in h for y in h])
+             for dx in np.arange(12) * 1e-3]
+    scattered = FunctionalSet([PointEval(tuple(p)) for p in rng.uniform(0, 1, (30, 2))])
+    kept = []
+    for i in rng.integers(0, len(grids), 60):
+        k.cross(grids[i], grids[i])
+        k.apply(scattered[0], grids[i][0])
+        k.cross(scattered, scattered[:1] + grids[i][:2])
+        k.diag(scattered)
+        assert 0 < len(k._plans) <= kernels._PLANS
+        assert all(args.size < inverse.size for args, inverse in k._plans.values())
+        # the grid's own plan is the most recent one kept
+        kept.append(next(reversed(k._plans)))
+        assert kept[-1] == (grids[i].radial_layout[1].tobytes(),) * 2
+    assert len(set(kept)) > kernels._PLANS
+
+
 def _count_bessel_calls(monkeypatch):
     """Record (name, argument count) of every k0, k1, kv and ladder call."""
     calls = []
@@ -513,9 +552,11 @@ def test_a_sets_layout_is_computed_once(monkeypatch):
     k = MaternSobolevKernel(5, 1, 1.0)
     lam = FunctionalSet([PointEval(x) for x in (0.0, 0.4)] + [DerivEval(0.7, 1)])
     assert lam.radial_layout is lam.radial_layout
-    orders, sites = lam.radial_layout
+    orders, sites, distinct = lam.radial_layout
     assert orders.tolist() == [0, 0, 1] and sites.tolist() == [[0.0], [0.4], [0.7]]
+    assert distinct == (0, 1)
     assert not orders.flags.writeable and not sites.flags.writeable
+    assert k._layout(lam) is lam.radial_layout
     seen = []
     order = kernels._functional_order
 
@@ -528,6 +569,16 @@ def test_a_sets_layout_is_computed_once(monkeypatch):
     for _ in range(3):
         k.cross([mu], lam)
     assert seen == [mu] * 3
+    # one order on each side: the block is the result, with no scatter
+    points = FunctionalSet(lam[:2])
+    block = k._radial_block(0, 0, np.array([[0.2]]), points.radial_layout[1])
+
+    def no_scatter(*args):
+        raise AssertionError("a single-order cross scattered its block")
+
+    monkeypatch.setattr(np, "ix_", no_scatter)
+    monkeypatch.setattr(np, "flatnonzero", no_scatter)
+    _assert_bitwise_equal(k.cross([mu], points), block)
 
 
 class _OddGridValue(GridValue):
