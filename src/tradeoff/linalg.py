@@ -1,6 +1,6 @@
 """Dense linear-algebra substrate: a plain Cholesky factorization and its
-solves, a thin SVD with a tolerance-cut rank and pseudoinverse, and the
-matrix product that runs beside them.
+solves, a thin SVD with a tolerance-cut rank, and the matrix product that
+runs beside them.
 
 A failed Cholesky raises NotPositiveDefinite: a shifted Gram would be a
 different problem.  No solve is refined: refinement in working precision
@@ -143,12 +143,6 @@ class SvdResult:
         if self.s.size == 0 or self.s[0] == 0.0:
             return 0
         return int(np.sum(self.s > rtol * self.s[0]))
-
-    def pinv(self, rtol: float) -> np.ndarray:
-        r = self.rank(rtol)
-        inv_s = np.zeros_like(self.s)
-        inv_s[:r] = 1.0 / self.s[:r]
-        return matmul(self.vt.T * inv_s, self.u.T)
 
 
 def svd(a) -> SvdResult:

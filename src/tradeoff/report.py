@@ -17,7 +17,8 @@ CSV_HEADER = "mu_kind,mu_x,mu_y,power,stability_norm,product,flag"
 @dataclass(frozen=True)
 class TradeoffReport:
     """Power value, stability norm, and their product for one evaluation
-    functional.  For a valid bump-backed norm the product is >= 1 - 1e-8."""
+    functional.  A row flagged ok has |product - 1| <= 1e-5, as the tests
+    and the benchmark check."""
 
     mu: Functional
     power: float

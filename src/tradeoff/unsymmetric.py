@@ -1,5 +1,5 @@
 """Non-interpolatory recovery maps: Kansa unsymmetric collocation with a
-pseudoinverse coefficient map, pseudo-Lagrangians and their power function,
+truncated-SVD coefficient map, pseudo-Lagrangians and their power function,
 and the SVD/Tikhonov linear-system case."""
 from __future__ import annotations
 
@@ -36,14 +36,6 @@ def _on_boundary(p) -> bool:
     if not (-tol <= x <= 1 + tol and -tol <= y <= 1 + tol):
         return False
     return min(abs(x), abs(1 - x), abs(y), abs(1 - y)) <= tol
-
-
-def _trial_set(trial: np.ndarray) -> FunctionalSet | tuple:
-    """Point evaluations at the trial points as one FunctionalSet, so every
-    kernel call on the trial side reuses its radial layout; () when there are
-    no trial points, a FunctionalSet being nonempty."""
-    fs = [PointEval(tuple(p)) for p in trial]
-    return FunctionalSet(fs) if fs else ()
 
 
 @dataclass(frozen=True)
@@ -92,26 +84,27 @@ class PoissonSetup:
 
     @cached_property
     def trial_functionals(self) -> FunctionalSet | tuple:
-        return _trial_set(self.trial)
+        """Point evaluations at the trial points as one FunctionalSet, so every
+        kernel call on the trial side reuses its radial layout; () when there
+        are no trial points, a FunctionalSet being nonempty."""
+        fs = [PointEval(tuple(p)) for p in self.trial]
+        return FunctionalSet(fs) if fs else ()
 
 
 @dataclass(frozen=True)
 class UnsymmetricRecovery:
-    """Recovery f -> v^T C Lambda(f) with trial functions v_k = K(z_k, .)."""
+    """Recovery f -> v^T C Lambda(f) with trial functions v_k = K(z_k, .),
+    the point evaluations trial_functionals.  C, the pseudoinverse of the
+    generalized Vandermonde A cut at rank r, is kept as its SVD factors
+    C = W U_r^T and never formed."""
 
     kernel: object
     functionals: FunctionalSet
-    trial: np.ndarray
-    coefficient_map: np.ndarray  # C, N x M
+    trial_functionals: FunctionalSet | tuple = field(repr=False)
+    w: np.ndarray = field(repr=False)  # W = V_r diag(1/sigma_r), N x r
+    u_r: np.ndarray = field(repr=False)  # U_r, M x r
     rtol: float
-    rank: int
     vandermonde: np.ndarray = field(repr=False)  # A, M x N
-    # point evaluations at the trial points; built from trial when not given
-    trial_functionals: FunctionalSet | tuple | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.trial_functionals is None:
-            object.__setattr__(self, "trial_functionals", _trial_set(self.trial))
 
     @property
     def m(self) -> int:
@@ -119,7 +112,16 @@ class UnsymmetricRecovery:
 
     @property
     def n(self) -> int:
-        return len(self.trial)
+        return len(self.w)
+
+    @property
+    def rank(self) -> int:
+        return self.u_r.shape[1]
+
+    def times_c(self, x) -> np.ndarray:
+        """x C for an N-column x, as (x W) U_r^T: two BLAS products
+        (linalg.matmul), neither through the cut singular directions."""
+        return linalg.matmul(linalg.matmul(x, self.w), self.u_r.T)
 
     @cached_property
     def context(self) -> PowerContext:
@@ -133,7 +135,7 @@ def build_kansa(setup: PoissonSetup, rtol: float | None = None) -> UnsymmetricRe
     """Assemble the generalized Vandermonde A with entries lambda_j(v_k) and
     take C as its pseudoinverse, cutting singular values at or below
     rtol * s_max; rtol must lie in (0, 1) and defaults to
-    1e-12 * max(M, N)."""
+    1e-12 * max(M, N).  U_r is copied, so the full U is not kept alive."""
     lam_set = setup.functionals()
     trial = setup.trial_functionals
     a = setup.kernel.cross(lam_set, trial)  # M x N
@@ -142,10 +144,11 @@ def build_kansa(setup: PoissonSetup, rtol: float | None = None) -> UnsymmetricRe
     if not 0.0 < rtol < 1.0:
         raise ValueError(f"rtol must lie in (0, 1), got {rtol}")
     dec = linalg.svd(a)
+    r = dec.rank(rtol)
     return UnsymmetricRecovery(
-        kernel=setup.kernel, functionals=lam_set, trial=setup.trial,
-        coefficient_map=dec.pinv(rtol), rtol=rtol, rank=dec.rank(rtol),
-        vandermonde=a, trial_functionals=trial)
+        kernel=setup.kernel, functionals=lam_set, trial_functionals=trial,
+        w=dec.vt[:r].T * (1.0 / dec.s[:r]), u_r=dec.u[:, :r].copy(), rtol=rtol,
+        vandermonde=a)
 
 
 def kansa_power_squared_batch(rec: UnsymmetricRecovery, mus) -> tuple[np.ndarray, np.ndarray]:
@@ -161,8 +164,7 @@ def kansa_power_squared_batch(rec: UnsymmetricRecovery, mus) -> tuple[np.ndarray
     mus = mus if isinstance(mus, FunctionalSet) else list(mus)
     kmm = rec.kernel.diag(mus)
     kml = rec.kernel.cross(mus, rec.functionals)
-    b = linalg.matmul(rec.kernel.cross(mus, rec.trial_functionals),
-                      rec.coefficient_map)
+    b = rec.times_c(rec.kernel.cross(mus, rec.trial_functionals))
     p2_sym, _ = schur_batch(rec.context.factor, kmm, kml)
     p2_uns = _bordered_form(kmm, kml, b, rec.context.gram)
     return np.maximum(p2_uns, 0.0), np.maximum(p2_sym, 0.0)
@@ -171,18 +173,20 @@ def kansa_power_squared_batch(rec: UnsymmetricRecovery, mus) -> tuple[np.ndarray
 def kansa_site_power_squared(rec: UnsymmetricRecovery) -> np.ndarray:
     """Squared Kansa power at each data functional, with no kernel call: the
     rows and diagonal of the one data Gram of rec.context are K(mu, Lambda)
-    and K(mu, mu) there, and A C gives the pseudo-Lagrange values."""
+    and K(mu, mu) there, and (A W) U_r^T gives the pseudo-Lagrange values:
+    not U_r U_r^T, which equals A W only before rounding and moves the site
+    powers by several roundoff floors."""
     g = rec.context.gram
-    b = linalg.matmul(rec.vandermonde, rec.coefficient_map)
+    b = rec.times_c(rec.vandermonde)
     return np.maximum(_bordered_form(np.diag(g), g, b, g), 0.0)
 
 
 def pseudo_lagrangian_norms(rec: UnsymmetricRecovery) -> np.ndarray:
-    """Squared norms ||a_k||^2, the diagonal of C^T K_{T,T} C: one matrix
-    product (BLAS, linalg.matmul) and a column-wise dot."""
-    c = rec.coefficient_map
-    k_tt = kernels.gram(rec.kernel, rec.trial_functionals)
-    return np.einsum("ji,ji->i", c, linalg.matmul(k_tt, c))
+    """Squared norms ||a_k||^2, the diagonal of C^T K_{T,T} C: the rows of
+    U_r against the r x r core W^T K_{T,T} W.  times_c of (K_{T,T} W)^T is
+    that core times U_r^T, and a row-wise dot with U_r ends it."""
+    kw = linalg.matmul(kernels.gram(rec.kernel, rec.trial_functionals), rec.w)
+    return np.einsum("ij,ji->i", rec.u_r, rec.times_c(kw.T))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ u = 2^-53, kernel values k = K(mu, Lambda), Gram G and Lagrange values w, is
 the first-order error of P^2 = K_mumu - k^T w when the kernel values carry
 rounding errors of relative size u.  Two double routes to P^2 may differ by
 up to about F, and the true value may lie that far from either; where
-F > 1e-5 P^2 a row's power is unresolved in double precision.
+F > UNRESOLVED_RTOL P^2 (kernel_recovery, 1e-4) a row's power is unresolved
+in double precision.
 """
 from __future__ import annotations
 

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tradeoff import linalg
+from tradeoff import cli, linalg
 from tradeoff.errors import NoBumpExists
 from tradeoff.functionals import FunctionalSet, LaplacianEval, PointEval
-from tradeoff.kernel_recovery import PowerContext, _bordered_form
+from tradeoff.kernel_recovery import PowerContext, _bordered_form, roundoff_floor
 from tradeoff.kernels import MaternSobolevKernel, gram
 from tradeoff.unsymmetric import (
     PoissonSetup,
     SvdRecovery,
+    UnsymmetricRecovery,
     build_kansa,
     kansa_power_squared_batch,
     kansa_site_power_squared,
@@ -54,34 +55,43 @@ def test_regular_setup_counts_and_validation():
                      trial=np.array([[0.5, 0.5], [0.2, 0.3], [0.5, 0.5]]))
 
 
-def _point_interpolation_setup(kernel, pts):
-    """All-PointEval data at pts with trial translates at the same points."""
+def _point_recovery(kernel, pts, rtol: float) -> UnsymmetricRecovery:
+    """Kansa with all-PointEval data at pts and trial translates at the same
+    points (build_kansa takes Laplacian data inside), C = W U_r^T cut as
+    build_kansa cuts it."""
     lam_set = FunctionalSet([PointEval(tuple(p)) for p in pts])
-    return lam_set
+    a = kernel.cross(lam_set, lam_set)
+    dec = linalg.svd(a)
+    r = dec.rank(rtol)
+    return UnsymmetricRecovery(
+        kernel=kernel, functionals=lam_set, trial_functionals=lam_set,
+        w=dec.vt[:r].T * (1.0 / dec.s[:r]), u_r=dec.u[:, :r].copy(), rtol=rtol,
+        vandermonde=a)
 
 
 def test_square_case_is_interpolatory():
     # M = N with trial = data points: C = A^-1, lambda_j(a_k) = delta_jk
-    k = MaternSobolevKernel(5, 2, 1.0)
     rng = np.random.default_rng(5)
-    pts = rng.uniform(0.1, 0.9, size=(9, 2))
-    setup = PoissonSetup(kernel=k, interior=pts,
-                         boundary=np.array([[0.0, 0.0]]), trial=pts)
-    # build manually to use point data everywhere (not Laplacians)
-    lam_set = _point_interpolation_setup(k, pts)
-    a = k.cross(lam_set, [PointEval(tuple(p)) for p in pts])
-    from tradeoff import linalg
-    c = linalg.svd(a).pinv(1e-12 * max(a.shape))
-    lam_a = a @ c  # lambda_j(a_k) for the square case
-    assert np.allclose(lam_a, np.eye(9), atol=1e-6)
+    rec = _point_recovery(MaternSobolevKernel(5, 2, 1.0), rng.uniform(0.1, 0.9, size=(9, 2)),
+                          1e-12 * 9)
+    assert rec.rank == 9
+    assert np.allclose(rec.times_c(rec.vandermonde), np.eye(9), atol=1e-6)
 
 
 def test_moore_penrose_invariant_of_c():
+    # C = W U_r^T, formed here only, is the Moore-Penrose inverse of A cut at
+    # rank r: C A C = C, A C and C A symmetric, and A C A = A up to the cut
+    # singular values
     k = MaternSobolevKernel(5, 2, 1.0)
-    setup = PoissonSetup.regular(k, n_side=4, n_boundary=8)
-    rec = build_kansa(setup)
-    a, c = rec.vandermonde, rec.coefficient_map
+    rec = build_kansa(PoissonSetup.regular(k, n_side=4, n_boundary=8))
+    a, c = rec.vandermonde, rec.w @ rec.u_r.T
+    assert c.shape == (rec.n, rec.m) and rec.rank <= min(rec.m, rec.n)
+    ac, ca = a @ c, c @ a
     assert np.linalg.norm(c @ a @ c - c) <= 1e-7 * np.linalg.norm(c)
+    assert np.linalg.norm(ac.T - ac) <= 1e-7 * np.linalg.norm(ac)
+    assert np.linalg.norm(ca.T - ca) <= 1e-7 * np.linalg.norm(ca)
+    tail = np.linalg.norm(linalg.svd(a).s[rec.rank:])
+    assert np.linalg.norm(a @ c @ a - a) <= tail + 1e-7 * np.linalg.norm(a)
 
 
 def test_kansa_reduces_to_symmetric_for_point_data():
@@ -89,18 +99,8 @@ def test_kansa_reduces_to_symmetric_for_point_data():
     # stability norms match the symmetric recovery
     k = MaternSobolevKernel(5, 2, 1.0)
     rng = np.random.default_rng(9)
-    pts = rng.uniform(0.0, 1.0, size=(8, 2))
-    lam_set = FunctionalSet([PointEval(tuple(p)) for p in pts])
-    trial_fn = [PointEval(tuple(p)) for p in pts]
-    a = k.cross(lam_set, trial_fn)
-    from tradeoff import linalg
-    from tradeoff.unsymmetric import UnsymmetricRecovery
-    dec = linalg.svd(a)
-    rtol = 1e-13
-    rec = UnsymmetricRecovery(
-        kernel=k, functionals=lam_set, trial=pts,
-        coefficient_map=dec.pinv(rtol), rtol=rtol, rank=dec.rank(rtol),
-        vandermonde=a)
+    rec = _point_recovery(k, rng.uniform(0.0, 1.0, size=(8, 2)), 1e-13)
+    lam_set = rec.functionals
     ctx = PowerContext(k, lam_set)
     mus = [PointEval((0.31, 0.77)), PointEval((0.9, 0.05)), PointEval((1.3, 1.2))]
     p2_sym = ctx.power_batch(mus)[0]
@@ -113,30 +113,20 @@ def test_kansa_reduces_to_symmetric_for_point_data():
 
 
 def test_kansa_power_at_data_functional_square_case():
-    k = MaternSobolevKernel(5, 2, 1.0)
     rng = np.random.default_rng(10)
-    pts = rng.uniform(0.1, 0.9, size=(6, 2))
-    lam_set = FunctionalSet([PointEval(tuple(p)) for p in pts])
-    from tradeoff import linalg
-    from tradeoff.unsymmetric import UnsymmetricRecovery
-    a = k.cross(lam_set, list(lam_set))
-    dec = linalg.svd(a)
-    rec = UnsymmetricRecovery(
-        kernel=k, functionals=lam_set, trial=pts,
-        coefficient_map=dec.pinv(1e-13), rtol=1e-13, rank=dec.rank(1e-13),
-        vandermonde=a)
-    assert np.all(kansa_power_squared_batch(rec, lam_set)[0] <= 1e-7)
+    rec = _point_recovery(MaternSobolevKernel(5, 2, 1.0), rng.uniform(0.1, 0.9, size=(6, 2)),
+                          1e-13)
+    assert np.all(kansa_power_squared_batch(rec, rec.functionals)[0] <= 1e-7)
     assert np.all(kansa_site_power_squared(rec) <= 1e-7)
 
 
 def test_kansa_empty_trial_gives_kmumu():
     k = MaternSobolevKernel(5, 2, 1.0)
     lam_set = FunctionalSet([PointEval((0.5, 0.5))])
-    from tradeoff.unsymmetric import UnsymmetricRecovery
     rec = UnsymmetricRecovery(
-        kernel=k, functionals=lam_set, trial=np.zeros((0, 2)),
-        coefficient_map=np.zeros((0, 1)), rtol=1e-12, rank=0,
-        vandermonde=np.zeros((1, 0)))
+        kernel=k, functionals=lam_set, trial_functionals=(), w=np.zeros((0, 0)),
+        u_r=np.zeros((1, 0)), rtol=1e-12, vandermonde=np.zeros((1, 0)))
+    assert (rec.n, rec.rank) == (0, 0)
     mu = PointEval((0.2, 0.8))
     assert kansa_power_squared_batch(rec, [mu])[0][0] == pytest.approx(1.0)
     assert pseudo_lagrangian_norms(rec).tolist() == [0.0]
@@ -148,6 +138,18 @@ def test_build_kansa_hands_the_setup_trial_set_to_the_recovery():
     rec = build_kansa(setup)
     assert rec.trial_functionals is setup.trial_functionals
     assert list(rec.trial_functionals) == [PointEval(tuple(p)) for p in setup.trial]
+
+
+def test_build_kansa_keeps_only_the_truncated_factors():
+    # C = W U_r^T is stored as W (N x r) and U_r (M x r), each owning its
+    # memory: a view of U_r would keep the full M x min(M, N) U alive.  The
+    # rank is U_r's width, the count of singular values above the cut
+    setup = PoissonSetup.regular(MaternSobolevKernel(5, 2, 1.0), n_side=7, n_boundary=16)
+    rec = build_kansa(setup, rtol=4e-10)
+    s = linalg.svd(rec.vandermonde).s
+    assert rec.rank == np.sum(s > 4e-10 * s[0]) < min(rec.m, rec.n)
+    assert rec.w.shape == (rec.n, rec.rank) and rec.u_r.shape == (rec.m, rec.rank)
+    assert rec.w.base is None and rec.u_r.base is None
 
 
 def test_kansa_never_beats_symmetric():
@@ -174,7 +176,7 @@ def test_kansa_site_power_reuses_the_data_gram():
     rec = build_kansa(PoissonSetup.regular(k, n_side=4, n_boundary=8))
     lam = rec.functionals
     kmm, kml = k.diag(lam), k.cross(lam, lam)
-    b = linalg.matmul(k.cross(lam, rec.trial_functionals), rec.coefficient_map)
+    b = rec.times_c(k.cross(lam, rec.trial_functionals))
     p2 = _bordered_form(kmm, kml, b, gram(k, lam))
     assert np.array_equal(kansa_site_power_squared(rec), np.maximum(p2, 0.0))
 
@@ -197,41 +199,86 @@ def test_kansa_quadratic_forms_against_long_double(n_side):
     # counts the roundings on a term's path.  A BLAS route rounds about 2n
     # times for inner sums of length n, in any blocking and at any thread
     # count; the naive three-operand einsum, kept as the second route, sums
-    # n^2 products in one loop and is held to its own, larger bound.
+    # n^2 products in one loop and is held to its own, larger bound.  Each
+    # P^2 the library returns must also lie within its roundoff floor F of
+    # the long-double P^2 at X C, with C = W U_r^T formed in long double from
+    # the same factors: at the sites, the shortcut U_r U_r^T for
+    # (A W) U_r^T, equal only before rounding, moves P^2 by 6 to 14 F.
     k = MaternSobolevKernel(5, 2, 1.0)
     rec = build_kansa(PoissonSetup.regular(k, n_side=n_side, n_boundary=16), rtol=4e-10)
-    g, c = rec.context.gram, rec.coefficient_map
+    g, w, u = rec.context.gram, rec.w, rec.u_r
     h = np.arange(1, 22) / 22.0
     mus = [LaplacianEval((x, y)) for x in h for y in h]
     mus += [PointEval(tuple(p)) for p in unit_square_perimeter(np.arange(64) / 16.0)]
     ld = np.longdouble
+    c_ld = w.astype(ld) @ u.T.astype(ld)
 
-    def forms(kmm, kml, b):
+    def forms(kmm, kml, x, p2):
         """(shared bordered form, einsum, long double, sum of |terms|) P^2
-        before the clamp."""
+        before the clamp, at b = (x W) U_r^T, once the library's clamped p2
+        is checked against them."""
+        b = rec.times_c(x)
+
+        def exact(lb):
+            return (kmm.astype(ld) - 2.0 * (lb * kml.astype(ld)).sum(1)
+                    + ((lb @ g.astype(ld)) * lb).sum(1))
+
+        ref = np.maximum(exact(x.astype(ld) @ c_ld), 0.0)
+        assert (np.abs(p2 - ref) <= roundoff_floor(np.abs(g), kmm, kml, b)).all()
+        bordered = _bordered_form(kmm, kml, b, g)
+        assert np.array_equal(p2, np.maximum(bordered, 0.0))
         lin = kmm - 2.0 * np.einsum("ij,ij->i", b, kml)
-        lb = b.astype(ld)
-        ref = (kmm.astype(ld) - 2.0 * (lb * kml.astype(ld)).sum(1)
-               + ((lb @ g.astype(ld)) * lb).sum(1))
         size = (np.abs(kmm) + 2.0 * (np.abs(b) * np.abs(kml)).sum(1)
                 + ((np.abs(b) @ np.abs(g)) * np.abs(b)).sum(1))
-        return (_bordered_form(kmm, kml, b, g),
-                lin + np.einsum("ij,jk,ik->i", b, g, b), ref, size, len(g))
+        return (bordered, lin + np.einsum("ij,jk,ik->i", b, g, b), exact(b.astype(ld)),
+                size, len(g))
 
-    site = forms(np.diag(g), g, linalg.matmul(rec.vandermonde, c))
-    assert np.array_equal(kansa_site_power_squared(rec), np.maximum(site[0], 0.0))
+    site = forms(np.diag(g), g, rec.vandermonde, kansa_site_power_squared(rec))
     kmm, kml = k.diag(mus), k.cross(mus, rec.functionals)
-    surface = forms(kmm, kml, linalg.matmul(k.cross(mus, rec.trial_functionals), c))
-    assert np.array_equal(kansa_power_squared_batch(rec, mus)[0],
-                          np.maximum(surface[0], 0.0))
+    surface = forms(kmm, kml, k.cross(mus, rec.trial_functionals),
+                    kansa_power_squared_batch(rec, mus)[0])
+    # ||a_k||^2 against the long-double diag(C^T K_TT C); its BLAS route
+    # (K_TT W, the core W^T K_TT W, then U_r) rounds about 2n + 2r times, and
+    # the naive route forms C in float64 first, so both are held to the sum
+    # of the factored terms' magnitudes with n + r in place of n
     k_tt = gram(k, rec.trial_functionals)
-    lc = c.astype(ld)
+    c = w @ u.T
+    core = np.abs(w).T @ np.abs(k_tt) @ np.abs(w)
     norms = (pseudo_lagrangian_norms(rec), np.einsum("ji,jk,ki->i", c, k_tt, c),
-             ((k_tt.astype(ld) @ lc) * lc).sum(0),
-             ((np.abs(k_tt) @ np.abs(c)) * np.abs(c)).sum(0), len(k_tt))
+             ((k_tt.astype(ld) @ c_ld) * c_ld).sum(0),
+             ((np.abs(u) @ core) * np.abs(u)).sum(1), len(k_tt) + rec.rank)
     for blas, naive, ref, size, n in (site, surface, norms):
         assert (np.abs(blas.astype(ld) - ref) <= _gamma(2 * n + 4) * size).all()
         assert (np.abs(naive.astype(ld) - ref) <= _gamma(n * n + 4) * size).all()
+
+
+def _d4_images(p: np.ndarray) -> list:
+    """A square grid of values under x <-> y, x -> 1 - x and a quarter turn,
+    the generators of the unit square's symmetry group."""
+    return [p.T, p[::-1], np.rot90(p)]
+
+
+@pytest.mark.parametrize("n_side", [7, 11])
+def test_kansa_surfaces_keep_the_squares_symmetry(n_side):
+    # data, trial and evaluation grids are all invariant under the square's
+    # symmetries, so both power surfaces are too.  Singular values of A come
+    # in equal pairs from that symmetry, and a rank cut through a pair breaks
+    # it: a cheap oracle for the rank cut.  The centre, whose p2_sym is zero
+    # (it is a data Laplacian), maps to itself and is left out
+    params = {key: entry[1] for key, entry in cli.CONFIG_KEYS["kansa"].items()}
+    k = MaternSobolevKernel(params["m"], 2, params["c"])
+    setup = PoissonSetup.regular(k, n_side=n_side, n_boundary=params["n_boundary"],
+                                 include_corners=params["include_corners"])
+    rec = build_kansa(setup, rtol=params["rtol"])
+    side = params["eval_interior_side"]
+    h = np.arange(1, side + 1) / (side + 1.0)
+    mus = FunctionalSet([LaplacianEval((x, y)) for x in h for y in h])
+    off_centre = np.ones((side, side), dtype=bool)
+    off_centre[side // 2, side // 2] = False
+    for p2 in kansa_power_squared_batch(rec, mus):
+        p2 = p2.reshape(side, side)
+        for image in _d4_images(p2):
+            assert np.all(np.abs(image - p2)[off_centre] <= 1e-6 * p2[off_centre])
 
 
 def test_kansa_data_gram_assembled_once():
