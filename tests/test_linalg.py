@@ -78,6 +78,21 @@ def test_dimension_mismatch():
         factor_spd(np.zeros((2, 3)))
 
 
+def test_pinv_moore_penrose():
+    # the pseudoinverse as Kansa keeps it, W U_r^T with W = V_r diag(1/s_r),
+    # meets the four Penrose conditions
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(6, 4))
+    dec = svd(a)
+    r = dec.rank(1e-12 * max(a.shape))
+    p = (dec.vt[:r].T * (1.0 / dec.s[:r])) @ dec.u[:, :r].T
+    na = np.linalg.norm(a)
+    assert np.linalg.norm(a @ p @ a - a) <= 1e-9 * na
+    assert np.linalg.norm(p @ a @ p - p) <= 1e-8 * np.linalg.norm(p)
+    assert np.linalg.norm((a @ p).T - a @ p) <= 1e-8
+    assert np.linalg.norm((p @ a).T - p @ a) <= 1e-8
+
+
 def test_svd_rank_of_rank_deficient():
     # zero singular value: rank counts the singular values above the cut
     a = np.outer([1.0, 2.0, 3.0], [4.0, 5.0])
