@@ -266,7 +266,7 @@ def run_greedy(config: ExperimentConfig) -> dict:
     _write(config.out_dir / "greedy_selected.csv", "\n".join(sel_lines) + "\n")
     return {"steps": len(trace.selected), "stop_reason": trace.stop_reason,
             "final_max_power": trace.max_powers[-1],
-            "unresolved_from": trace.unresolved_from}
+            "unresolved_from": trace.unresolved_from, "route_gap": trace.route_gap}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ One route per quantity: schur_batch gives every Schur power
 P^2 = K_mumu - k^T w and the Lagrange values w = G^-1 k; _bordered_form
 gives ||mu - sum_j c_j lambda_j||^2 = K_mumu - 2 k^T c + c^T G c, minimal
 at c = w, where it is P^2 (the second route); at Kansa's pseudo-Lagrange
-values it is the Kansa power (unsymmetric).
+values it is the Kansa power (unsymmetric).  P-greedy keeps its powers in
+the Newton basis instead and checks them against one fresh Cholesky
+factorization per run (greedy).
 """
 from __future__ import annotations
 

@@ -7,12 +7,12 @@ Matern ``cross`` evaluates each distinct kernel argument of an order block
 once and gathers the entries: grids and symmetric Grams repeat their
 distances many times over.  Finding the distinct arguments (a sort) costs
 more than the kernel on them, so a kernel keeps that plan for its few most
-recent pairs of site arrays and any later block on the same sites, of any
-derivative orders, reuses it: a Kansa run sorts its interior grid against
-itself once, not once for A, once for the data Gram and once for K_TT.  The
-plans are bounded in number, since each holds an index per block entry, and
-live with the kernel, so a new kernel starts with none.  The Whittle-Matern
-radial profile is
+recent pairs of FunctionalSet site arrays and any later block on the same
+sites, of any derivative orders, reuses it: a Kansa run sorts its interior
+grid against itself once, not once for A, once for the data Gram and once
+for K_TT.  The plans are bounded in number, since each holds an index per
+block entry, and live with the kernel, so a new kernel starts with none.
+The Whittle-Matern radial profile is
 
     phi(r) = 2^(1-nu)/Gamma(nu) * (r/c)^nu * K_nu(r/c),   nu = m - d/2,
 
@@ -267,54 +267,62 @@ class MaternSobolevKernel:
         return (np.array(orders, dtype=int), np.array([f.site for f in fs], dtype=float),
                 tuple(sorted(set(orders))))
 
-    def _plan(self, pts_a: np.ndarray, pts_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _arguments(self, pts_a: np.ndarray, pts_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The distinct kernel arguments over every pair of sites, ascending
         as bit patterns (so -0.0 and 0.0 stay apart), and each entry's index
         into them.  The distances take one difference array per coordinate,
-        squared in place: sqrt(dx*dx + dy*dy).  The last _PLANS plans with
-        repeated arguments are kept, keyed by the exact bytes of the two site
-        arrays; a plan whose arguments are all distinct saves nothing."""
+        squared in place: sqrt(dx*dx + dy*dy)."""
+        u = pts_a[:, None, 0] - pts_b[None, :, 0]
+        if self.d == 2:
+            dy = pts_a[:, None, 1] - pts_b[None, :, 1]
+            np.multiply(u, u, out=u)
+            np.multiply(dy, dy, out=dy)
+            u += dy
+            np.sqrt(u, out=u)
+        u /= self.c
+        keys, inverse = np.unique(u.view(np.int64), return_inverse=True)
+        return keys.view(float), inverse.reshape(u.shape)
+
+    def _plan(self, pts_a: np.ndarray, pts_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """_arguments for site arrays of two FunctionalSets, the only ones a
+        later call can bring again.  The last _PLANS plans with repeated
+        arguments are kept, keyed by the exact bytes of the two site arrays;
+        a plan whose arguments are all distinct saves nothing."""
         key = (pts_a.tobytes(), pts_b.tobytes())
         plan = self._plans.pop(key, None)
         if plan is None:
-            u = pts_a[:, None, 0] - pts_b[None, :, 0]
-            if self.d == 2:
-                dy = pts_a[:, None, 1] - pts_b[None, :, 1]
-                np.multiply(u, u, out=u)
-                np.multiply(dy, dy, out=dy)
-                u += dy
-                np.sqrt(u, out=u)
-            u /= self.c
-            keys, inverse = np.unique(u.view(np.int64), return_inverse=True)
-            plan = keys.view(float), inverse.reshape(u.shape)
-            if keys.size == u.size:
+            plan = self._arguments(pts_a, pts_b)
+            if plan[0].size == plan[1].size:
                 return plan
         self._plans[key] = plan
         if len(self._plans) > _PLANS:
             del self._plans[next(iter(self._plans))]
         return plan
 
-    def _radial_block(self, n_a: int, n_b: int, pts_a, pts_b) -> np.ndarray:
+    def _radial_block(self, n_a: int, n_b: int, pts_a, pts_b, keep: bool = False) -> np.ndarray:
         """_radial over every pair of sites, run once per distinct argument
-        of the sites' plan and gathered; _radial is elementwise, so each
-        entry is bit for bit the one a full-array evaluation gives."""
-        args, inverse = self._plan(pts_a, pts_b)
+        and gathered, from the kept plan when keep is set; _radial is
+        elementwise, so each entry is bit for bit the one a full-array
+        evaluation gives."""
+        args, inverse = (self._plan if keep else self._arguments)(pts_a, pts_b)
         return self._radial(n_a, n_b, args)[inverse]
 
     def cross(self, set_a, set_b) -> np.ndarray:
         """Matrix of apply(a_i, b_j), assembled blockwise by derivative order,
         each block evaluating each distinct kernel argument once; one block
-        when each side has a single order."""
+        when each side has a single order.  Only a block between two
+        FunctionalSets keeps its plan: other sequences are built per call."""
         orders_a, pts_a, distinct_a = self._layout(set_a)
         orders_b, pts_b, distinct_b = self._layout(set_b)
+        keep = all(getattr(s, "radial_layout", None) is not None for s in (set_a, set_b))
         if len(distinct_a) == len(distinct_b) == 1:
-            return self._radial_block(distinct_a[0], distinct_b[0], pts_a, pts_b)
+            return self._radial_block(distinct_a[0], distinct_b[0], pts_a, pts_b, keep)
         out = np.empty((len(orders_a), len(orders_b)))
         for na in distinct_a:
             ia = np.flatnonzero(orders_a == na)
             for nb in distinct_b:
                 ib = np.flatnonzero(orders_b == nb)
-                out[np.ix_(ia, ib)] = self._radial_block(na, nb, pts_a[ia], pts_b[ib])
+                out[np.ix_(ia, ib)] = self._radial_block(na, nb, pts_a[ia], pts_b[ib], keep)
         return out
 
     def diag(self, fset) -> np.ndarray:

@@ -80,7 +80,9 @@ def matmul(a, b) -> np.ndarray:
 @dataclass(frozen=True)
 class SpdFactor:
     """Lower Cholesky factorization of a symmetric positive definite A, as
-    scipy's (c, lower) pair, from LAPACK potrf."""
+    scipy's (c, lower) pair: from LAPACK potrf, or any lower-triangular L
+    with A = L L^T, such as the Newton rows of a P-greedy's picks (only the
+    lower triangle of c is read)."""
 
     cho: tuple
 

@@ -10,15 +10,16 @@ from hypothesis import strategies as st
 import oracle
 
 from tradeoff import linalg
-from tradeoff.errors import NotPositiveDefinite
 from tradeoff.functionals import FunctionalSet, PointEval
 from tradeoff.greedy import STOP_SINGULAR, p_greedy
 from tradeoff.kernel_recovery import UNRESOLVED_RTOL, PowerContext
-from tradeoff.kernels import ChebWeightKernel, MaternSobolevKernel
+from tradeoff.kernels import ChebWeightKernel, MaternSobolevKernel, gram
 from tradeoff.weights import weight_array
 
 # bench/checks.py compares greedy powers at this relative precision
 GREEDY_RTOL = 1e-9
+# unit roundoff of a double
+_U = 2.0 ** -53
 
 
 def _grid_candidates(side, d=2):
@@ -30,44 +31,40 @@ def _grid_candidates(side, d=2):
     return FunctionalSet([PointEval(p) for p in pts])
 
 
-def _from_scratch(kernel, candidates, max_steps, tolerance=0.0):
-    """Oracle for p_greedy's caches: a fresh PowerContext and power_batch
-    over the remaining candidates at every step, stopping where the
-    selected Gram fails its Cholesky factorization."""
+def _assert_attains_oracle(kernel, candidates, max_steps, tolerance=0.0):
+    """Oracle for p_greedy's Newton route: a fresh PowerContext on the
+    trace's own prefix at every step.  The pick's Schur P^2 lies within
+    F_pick + F_max of the from-scratch maximum (F the rows' roundoff floors),
+    and the trace's power within F_pick of the pick's; before
+    unresolved_from the pick is a from-scratch argmax, up to an exact tie:
+    P^2 = K(mu, mu) - k^T w cancels, so the two routes may round a tie apart
+    by a few units of roundoff in K(mu, mu).  The trace's own
+    from-scratch check, route_gap, is at most 1."""
+    trace = p_greedy(kernel, candidates, max_steps=max_steps, tolerance=tolerance)
     pool = list(candidates)
-    remaining = list(range(len(pool)))
-    selected, powers = [], []
-    while remaining:
-        prefix = FunctionalSet([pool[i] for i in selected]) if selected else None
-        try:
-            ctx = PowerContext(kernel, prefix)
-        except NotPositiveDefinite:
-            break
-        p2, _, _ = ctx.power_batch([pool[i] for i in remaining])
-        best = int(np.argmax(p2))
-        powers.append(math.sqrt(float(p2[best])))
-        selected.append(remaining.pop(best))
-        if powers[-1] <= tolerance or len(selected) >= max_steps:
-            break
-    return tuple(selected), tuple(powers)
-
-
-def _assert_matches_oracle(kernel, cands, max_steps, tolerance=0.0):
-    trace = p_greedy(kernel, cands, max_steps=max_steps, tolerance=tolerance)
-    selected, powers = _from_scratch(kernel, cands, max_steps, tolerance)
-    assert trace.selected_indices == selected
-    assert trace.max_powers == powers  # bit for bit
+    for step, idx in enumerate(trace.selected_indices):
+        prefix = FunctionalSet(trace.selected[:step]) if step else None
+        remaining = [i for i in range(len(pool)) if i not in trace.selected_indices[:step]]
+        ev = PowerContext(kernel, prefix).power_squared([pool[i] for i in remaining],
+                                                        cross_check=False)
+        p2, floor = ev.power_squared, ev.floor
+        top, pick = int(np.argmax(p2)), remaining.index(idx)
+        assert p2[top] - p2[pick] <= floor[top] + floor[pick]
+        assert abs(trace.max_powers[step] ** 2 - p2[pick]) <= floor[pick] + 4 * _U * p2[pick]
+        if trace.unresolved_from is None or step < trace.unresolved_from:
+            assert p2[top] - p2[pick] <= 4 * _U * ev.k_mu_mu[top]
+    assert trace.route_gap <= 1.0
     return trace
 
 
 def test_matches_from_scratch_on_criterion_9_grid():
-    # symmetric 10x10 grid: true ties at every step must break the same way
-    trace = _assert_matches_oracle(MaternSobolevKernel(5, 2, 1.0), _grid_candidates(10), 25)
+    # symmetric 10x10 grid: true ties at every step
+    trace = _assert_attains_oracle(MaternSobolevKernel(5, 2, 1.0), _grid_candidates(10), 25)
     assert len(trace.selected) == 25
 
 
 def test_matches_from_scratch_on_1d_grid():
-    trace = _assert_matches_oracle(MaternSobolevKernel(4, 1, 0.5),
+    trace = _assert_attains_oracle(MaternSobolevKernel(4, 1, 0.5),
                                    _grid_candidates(41, d=1), 15)
     assert trace.stop_reason == "max_steps"
 
@@ -75,7 +72,7 @@ def test_matches_from_scratch_on_1d_grid():
 def test_matches_from_scratch_with_tolerance_stop():
     rng = np.random.default_rng(7)
     cands = FunctionalSet([PointEval(tuple(p)) for p in rng.uniform(0, 1, size=(50, 2))])
-    trace = _assert_matches_oracle(MaternSobolevKernel(5, 2, 1.0), cands, 50, tolerance=0.05)
+    trace = _assert_attains_oracle(MaternSobolevKernel(5, 2, 1.0), cands, 50, tolerance=0.05)
     assert trace.stop_reason == "tolerance"
     assert len(trace.selected) < 50
 
@@ -89,39 +86,38 @@ def test_matches_from_scratch_on_scattered_sets(data, d, m, tolerance):
                                min_size=1, max_size=12, unique=True))
     cands = FunctionalSet([PointEval(tuple(v / 1000 for v in s)) for s in sites])
     steps = data.draw(st.integers(1, len(sites)))
-    _assert_matches_oracle(MaternSobolevKernel(m, d, 1.0), cands, steps, tolerance)
+    _assert_attains_oracle(MaternSobolevKernel(m, d, 1.0), cands, steps, tolerance)
 
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), d=st.sampled_from([1, 2]), m=st.integers(3, 6),
        c=st.floats(0.1, 10.0), tolerance=st.sampled_from([0.0, 1e-3]))
-def test_lazy_steps_match_from_scratch_on_larger_scattered_sets(data, d, m, c, tolerance):
-    # 40-150 candidates, more than one block of re-solved candidates, so a
-    # step skips the ones whose bound cannot win
+def test_matches_from_scratch_on_larger_scattered_sets(data, d, m, c, tolerance):
+    # 40-150 candidates and up to 40 steps, on flat kernels past the
+    # roundoff floor too
     sites = data.draw(st.lists(st.tuples(*[st.integers(0, 1000)] * d),
                                min_size=40, max_size=150, unique=True))
     cands = FunctionalSet([PointEval(tuple(v / 1000 for v in s)) for s in sites])
     steps = data.draw(st.integers(1, 40))
-    _assert_matches_oracle(MaternSobolevKernel(m, d, c), cands, steps, tolerance)
+    _assert_attains_oracle(MaternSobolevKernel(m, d, c), cands, steps, tolerance)
 
 
-def test_lazy_steps_solve_fewer_right_hand_sides_than_the_remaining(monkeypatch):
-    # re-solving every remaining candidate at steps 1..39 would take
-    # sum(n - k) right-hand sides; the bounds skip most of them, and the
-    # picks and powers stay the from-scratch ones
-    counts = Counter()
+def test_one_right_hand_side_per_step(monkeypatch):
+    # each step after the first solves the Newton rows for its pick alone
+    rhs = []
     solve = linalg.SpdFactor.solve
 
     def counted_solve(self, b):
-        counts["rhs"] += np.shape(b)[1]
+        rhs.append(np.shape(b))
         return solve(self, b)
 
     monkeypatch.setattr(linalg.SpdFactor, "solve", counted_solve)
-    n, steps = 400, 40
+    steps = 40
     trace = p_greedy(MaternSobolevKernel(5, 2, 1.0), _grid_candidates(20), steps)
-    assert counts["rhs"] < sum(n - k for k in range(1, steps))
+    assert rhs == [(k,) for k in range(1, steps)]
     monkeypatch.undo()
-    _assert_matches_oracle(MaternSobolevKernel(5, 2, 1.0), _grid_candidates(20), steps)
+    # the two routes round the grid's exact tie at step 5 apart by 1.1e-16
+    _assert_attains_oracle(MaternSobolevKernel(5, 2, 1.0), _grid_candidates(20), steps)
     assert trace.unresolved_from is None
 
 
@@ -143,15 +139,16 @@ def _first_unresolved_from_scratch(kernel, trace):
 
 def test_unresolved_from_matches_a_per_step_from_scratch_floor(tmp_path):
     # the flat 6x6 grid (c = 10): the picks fall below their roundoff floor
-    # at step 7, long before the selected Gram fails at step 21; there the
-    # powers move by roundoff from step to step, and the lazy steps still
-    # pick the from-scratch maxima bit for bit.  The CLI summary reports the
-    # same step
+    # at step 7, before the run stops singular after 13 picks; from step 7
+    # the powers move by roundoff from step to step, and each pick still
+    # lies within the floors of the from-scratch maximum.  The CLI summary
+    # reports the same step
     from tradeoff.cli import ExperimentConfig, run_greedy
 
     kernel = MaternSobolevKernel(5, 2, 10.0)
-    trace = _assert_matches_oracle(kernel, _grid_candidates(6), 36)
+    trace = _assert_attains_oracle(kernel, _grid_candidates(6), 36)
     assert trace.stop_reason == STOP_SINGULAR
+    assert len(trace.selected) == 13
     assert trace.unresolved_from == _first_unresolved_from_scratch(kernel, trace) == 7
     config = {"grid_side": 6, "max_steps": 36, "m": 5, "d": 2, "c": 10.0}
     summary = run_greedy(ExperimentConfig("greedy", params=config, out_dir=tmp_path))
@@ -216,10 +213,11 @@ def test_one_diagonal_and_one_kernel_column_per_step(monkeypatch):
     assert len(trace.selected) == steps
     # the diagonal once, then one column against each new selection but the last
     assert k.calls == [("diag", n)] + [("cross", n, 1)] * (steps - 1)
+    # and one single-column solve per step after the first
     assert solves["solve"] == steps - 1
 
 
-def test_one_context_and_one_factorization_per_step_after_the_first(monkeypatch):
+def test_one_context_and_one_factorization_per_run(monkeypatch):
     counts = Counter()
     init, factor_spd = PowerContext.__init__, linalg.factor_spd
 
@@ -236,9 +234,10 @@ def test_one_context_and_one_factorization_per_step_after_the_first(monkeypatch)
     steps = 7
     trace = p_greedy(MaternSobolevKernel(5, 2, 1.0), _grid_candidates(4), max_steps=steps)
     assert len(trace.selected) == steps
-    # step 0's powers are the diagonal, from one context without data; each
-    # later step factors the Gram of the selected set, and builds no context
-    assert counts == {"context": 1, "factor": steps - 1}
+    # step 0's powers are the diagonal, from one context without data; the
+    # steps build no context and factor nothing, and the run's one
+    # factorization is route_gap's check of the selected Gram
+    assert counts == {"context": 1, "factor": 1}
 
 
 def test_first_step_tiebreak_lowest_index():
@@ -322,10 +321,11 @@ def test_greedy_matches_bump_minimization():
 
 
 def test_singular_selected_gram_stops_with_a_checked_trace(tmp_path, monkeypatch):
-    # on a flat kernel (c = 10) the selected Gram of the 6x6 grid stops
-    # factoring before the grid is used up: the run stops with "singular",
-    # and the trace it keeps passes the benchmark's greedy check, whose
-    # from-scratch PowerContext confirms the maximum at four steps
+    # on a flat kernel (c = 10) the 6x6 grid's powers reach the roundoff
+    # floor before the grid is used up: after 13 picks the next pick's P^2
+    # lies at or below its floor, the run stops with "singular", and the
+    # trace it keeps passes the benchmark's greedy check, whose from-scratch
+    # PowerContext confirms the maximum at four steps
     from tradeoff.cli import ExperimentConfig, run_greedy
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import checks
@@ -334,19 +334,72 @@ def test_singular_selected_gram_stops_with_a_checked_trace(tmp_path, monkeypatch
     config = {"grid_side": 6, "max_steps": 36, "m": 5, "d": 2, "c": 10.0}
     summary = run_greedy(ExperimentConfig("greedy", params=config, out_dir=tmp_path))
     assert summary["stop_reason"] == STOP_SINGULAR
-    assert 1 < summary["steps"] < 36
+    assert summary["steps"] == 13 and summary["route_gap"] <= 1.0
     trace = (tmp_path / "greedy_trace.csv").read_text()
     job = workloads.Job("singular", "greedy", config, ops=summary["steps"])
     assert checks.greedy_failures(job, {"greedy_trace.csv": trace}) == 0
 
 
 def test_matches_from_scratch_up_to_a_singular_gram():
-    # two 1-d sites 1e-3 apart on a smooth kernel: the selected Gram stops
-    # factoring, and p_greedy stops where the from-scratch oracle does
+    # two 1-d sites 1e-3 apart on a smooth kernel: after 6 picks the next
+    # pick's P^2 lies at or below its roundoff floor, so the run stops
+    # singular; from scratch, every remaining candidate's P^2 is below its
+    # own floor too
     sites = [0.046, 0.0, 0.001, 0.133, 0.178, 0.192, 0.207, 0.226, 0.467]
     cands = FunctionalSet([PointEval((x,)) for x in sites])
-    trace = _assert_matches_oracle(MaternSobolevKernel(6, 1, 1.0), cands, len(sites))
+    kernel = MaternSobolevKernel(6, 1, 1.0)
+    trace = _assert_attains_oracle(kernel, cands, len(sites))
     assert trace.stop_reason == STOP_SINGULAR
+    assert len(trace.selected) == 6
+    rest = [f for f in cands if f not in trace.selected]
+    ev = PowerContext(kernel, FunctionalSet(trace.selected)).power_squared(rest, cross_check=False)
+    assert np.all(ev.power_squared <= ev.floor)
+
+
+@pytest.mark.parametrize("side,steps,d,c", [(10, 25, 2, 1.0), (20, 50, 2, 1.0),
+                                            (30, 100, 2, 1.0), (6, 36, 2, 10.0),
+                                            (41, 15, 1, 0.5)])
+def test_route_gap_is_within_the_floor_on_matern_grids(side, steps, d, c):
+    trace = p_greedy(MaternSobolevKernel(5, d, c), _grid_candidates(side, d), steps)
+    assert 0.0 < trace.route_gap <= 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_route_gap_is_within_the_floor_on_scattered_sets(seed):
+    pts = np.random.default_rng(seed).uniform(0, 1, size=(400, 2))
+    cands = FunctionalSet([PointEval(tuple(p)) for p in pts])
+    trace = p_greedy(MaternSobolevKernel(5, 2, 1.0), cands, 50)
+    assert len(trace.selected) == 50
+    assert 0.0 < trace.route_gap <= 1.0
+
+
+@pytest.mark.parametrize("kernel,side,d,steps", [
+    (MaternSobolevKernel(5, 2, 1.0), 20, 2, 50),
+    (MaternSobolevKernel(5, 2, 10.0), 6, 2, 36),
+    (MaternSobolevKernel(4, 1, 0.5), 41, 1, 15)])
+def test_newton_rows_equal_a_fresh_cholesky_of_the_selected_gram(monkeypatch, kernel, side,
+                                                                 d, steps):
+    # the lower triangle the last step solves with is the Newton rows of the
+    # picks before it; against a fresh Cholesky factor L of their Gram, row
+    # j moves its squared norm by sum_l |dL_jl| |L_jl|, at most the floor F_j
+    # of pick j on the picks before it
+    factors = []
+    solve = linalg.SpdFactor.solve
+
+    def recording_solve(self, b):
+        factors.append(np.tril(self.cho[0]))
+        return solve(self, b)
+
+    monkeypatch.setattr(linalg.SpdFactor, "solve", recording_solve)
+    trace = p_greedy(kernel, _grid_candidates(side, d), steps)
+    rows = factors[-1]
+    picks = trace.selected[:len(rows)]
+    fresh = np.linalg.cholesky(gram(kernel, FunctionalSet(picks)))
+    assert rows[0, 0] == pytest.approx(fresh[0, 0], rel=4 * _U)
+    for j in range(1, len(rows)):
+        ev = PowerContext(kernel, FunctionalSet(picks[:j])).power_squared([picks[j]],
+                                                                           cross_check=False)
+        assert np.abs(rows[j] - fresh[j]) @ np.abs(fresh[j]) <= ev.floor
 
 
 def test_invalid_max_steps():

@@ -426,7 +426,7 @@ def test_cross_equals_full_block_evaluation_bit_for_bit(case):
 
 def test_cross_on_a_warm_shared_kernel_equals_a_fresh_one_bit_for_bit():
     # every case twice, shuffled, through one kernel per (m, d, c): each call
-    # may reuse the argument plans the others left, on either side
+    # between two sets may reuse the argument plans the others left
     cases = _dedup_cases()
     shared = {}
     runs = [(name, form) for name in cases for form in (FunctionalSet, list)] * 2
@@ -439,7 +439,10 @@ def test_cross_on_a_warm_shared_kernel_equals_a_fresh_one_bit_for_bit():
         got = warm.cross(form(fa), form(fb))
         _assert_bitwise_equal(got, _cross_without_dedup(k, fa, fb))
         _assert_bitwise_equal(got, MaternSobolevKernel(k.m, k.d, k.c).cross(fa, fb))
-    assert shared and all(warm._plans for warm in shared.values())
+    # only blocks between two FunctionalSets keep plans: the signed-zero
+    # case, in lists only, leaves its kernel none
+    assert {key: bool(warm._plans) for key, warm in shared.items()} == {
+        (5, 2, 1.0): True, (5, 1, 0.05): True, (5, 1, 1.0): False}
 
 
 def test_the_plans_stay_within_their_bound_and_skip_all_distinct_blocks():
@@ -461,6 +464,23 @@ def test_the_plans_stay_within_their_bound_and_skip_all_distinct_blocks():
         kept.append(next(reversed(k._plans)))
         assert kept[-1] == (grids[i].radial_layout[1].tobytes(),) * 2
     assert len(set(kept)) > kernels._PLANS
+
+
+def test_only_blocks_between_two_sets_keep_a_plan():
+    # a plain sequence on either side is built per call, so its plan could
+    # never be asked for again: greedy's columns K(candidates, [pick]) and
+    # apply's 1 x 1 blocks keep none, and give the same bits as a kept plan
+    k = MaternSobolevKernel(5, 2, 1.0)
+    h = np.arange(1, 7) / 7.0
+    grid = FunctionalSet([PointEval((x, y)) for x in h for y in h])
+    column = k.cross(grid, [grid[7]])
+    block = k.cross(list(grid), grid)
+    k.apply(grid[0], grid[1])
+    k.diag(grid)
+    assert not k._plans
+    _assert_bitwise_equal(k.cross(grid, grid), block)
+    _assert_bitwise_equal(k.cross(grid, grid)[:, 7:8], column)
+    assert list(k._plans) == [(grid.radial_layout[1].tobytes(),) * 2]
 
 
 def _count_bessel_calls(monkeypatch):
