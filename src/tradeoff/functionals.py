@@ -226,21 +226,9 @@ class FunctionalSet:
 
     @cached_property
     def radial_layout(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]] | None:
-        """Each member's ``order`` and ``site``, as a read-only int vector and
-        (n, dim) array, and the distinct orders, ascending; computed once per
-        set because a radial kernel reads them on every call.  None when they
-        do not form such arrays (a member without an order, or members on
-        different R^dim).  Whether a kernel can apply them is the kernel's
-        check, not this one's."""
-        fs = self.functionals
-        if any(f.order is None for f in fs) or len({f.dim for f in fs}) != 1:
-            return None
-        orders = [f.order for f in fs]
-        distinct = tuple(sorted(set(orders)))
-        orders = np.array(orders, dtype=int)
-        sites = np.array([f.site for f in fs], dtype=float)
-        orders.flags.writeable = sites.flags.writeable = False
-        return orders, sites, distinct
+        """radial_layout of the members, computed once per set because a
+        radial kernel reads it on every call."""
+        return radial_layout(self.functionals)
 
     def to_json(self) -> list[dict]:
         return [f.to_json() for f in self.functionals]
@@ -248,6 +236,23 @@ class FunctionalSet:
     @classmethod
     def from_json(cls, items) -> "FunctionalSet":
         return cls([functional_from_json(d) for d in items])
+
+
+def radial_layout(functionals) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]] | None:
+    """Each functional's ``order`` and ``site``, as a read-only int vector
+    and (n, dim) array, and the distinct orders, ascending.  None when they
+    do not form such arrays (no functionals, a functional without an order,
+    or functionals on different R^dim).  Whether a kernel can apply them is
+    the kernel's check, not this one's."""
+    fs = tuple(functionals)
+    orders = [f.order for f in fs]
+    if None in orders or len({f.dim for f in fs}) != 1:
+        return None
+    distinct = tuple(sorted(set(orders)))
+    orders = np.array(orders, dtype=int)
+    sites = np.array([f.site for f in fs], dtype=float)
+    orders.flags.writeable = sites.flags.writeable = False
+    return orders, sites, distinct
 
 
 def apply_to_coeffs(lam: Functional, coeffs) -> float:

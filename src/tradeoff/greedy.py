@@ -62,10 +62,12 @@ def p_greedy(kernel, candidates: FunctionalSet, max_steps: int,
     candidate index among equal Newton powers).
 
     Every kernel value is computed once: the diagonal K(mu, mu) of all
-    candidates at step 0, and after each selection one kernel column of all
-    candidates against the new functional.  That column, less the earlier
-    Newton columns times their values at the pick and scaled by 1/P of the
-    pick, is the pick's Newton column v, and every P^2 drops by v^2.
+    candidates at step 0, and after each selection the kernel column of all
+    candidates against the new functional, from the one kernel.columns of
+    the run (on a tensor grid a gather from one radial table, elsewhere a
+    cross call per column, with the same bits).  That column, less the
+    earlier Newton columns times their values at the pick and scaled by 1/P
+    of the pick, is the pick's Newton column v, and every P^2 drops by v^2.
 
     The Newton rows of the selected set, in pick order, are the lower
     Cholesky factor of its Gram.  So each step solves them once for its
@@ -86,7 +88,8 @@ def p_greedy(kernel, candidates: FunctionalSet, max_steps: int,
         raise ValueError("max_steps must be >= 1")
     pool = list(candidates)
     n = len(pool)
-    p2, _, kmm = PowerContext(kernel, None).power_batch(pool)
+    p2, _, kmm = PowerContext(kernel, None).power_batch(candidates)
+    column = kernel.columns(candidates)
     # column j: K(., j-th pick), and the j-th Newton column
     cols = np.empty((n, min(max_steps, n)), order="F")
     newton = np.empty_like(cols)
@@ -99,7 +102,7 @@ def p_greedy(kernel, candidates: FunctionalSet, max_steps: int,
         floor = 0.0
         if k:
             last = selected[-1]
-            cols[:, k - 1] = kernel.cross(candidates, [pool[last]])[:, 0]
+            cols[:, k - 1] = column(last)
             at_last = linalg.matmul(newton[:, :k - 1], newton[last, :k - 1, None])[:, 0]
             newton[:, k - 1] = (cols[:, k - 1] - at_last) / math.sqrt(pivots[-1])
             p2 -= newton[:, k - 1] ** 2

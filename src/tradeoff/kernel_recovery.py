@@ -143,7 +143,7 @@ class PowerContext:
     def power_batch(self, mus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(power_squared, lagrange_values, k_mu_mu) of the block
         power_squared(mus) without its cross-check."""
-        ev = self.power_squared(list(mus), cross_check=False)
+        ev = self.power_squared(mus, cross_check=False)
         return ev.power_squared, ev.lagrange_values, ev.k_mu_mu
 
     def power_squared(self, mu, cross_check: bool = True) -> PowerEvaluation:
@@ -161,13 +161,15 @@ class PowerContext:
         """
         single = isinstance(mu, Functional)
         mus = (mu,) if single else tuple(mu)
+        # a FunctionalSet reaches the kernel as itself, with its layout
+        block = mu if isinstance(mu, FunctionalSet) else mus
         n = len(self.gram)
-        kmm = np.reshape(self.kernel.diag(mus), len(mus))
+        kmm = np.reshape(self.kernel.diag(block), len(mus))
         if self.factor is None:
             kml = w = np.zeros((len(mus), 0))
             schur = kmm
         else:
-            kml = np.reshape(self.kernel.cross(mus, self.lam_set), (len(mus), n))
+            kml = np.reshape(self.kernel.cross(block, self.lam_set), (len(mus), n))
             schur, w = schur_batch(self.factor, kmm, kml)
         bordered = _bordered_form(kmm, kml, w, self.gram)
         floor = 1e-13 * n * (np.abs(kmm) + _rowdot(w, w) * self._gram_scale)

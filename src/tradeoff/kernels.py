@@ -12,6 +12,12 @@ sites, of any derivative orders, reuses it: a Kansa run sorts its interior
 grid against itself once, not once for A, once for the data Gram and once
 for K_TT.  The plans are bounded in number, since each holds an index per
 block entry, and live with the kernel, so a new kernel starts with none.
+Both kernels also give ``columns``, a set's columns against its own
+members, each bit for bit a one-column ``cross``.  On a single-order 2-d
+set whose sites share coordinates (a tensor grid) the Matern kernel
+squares each axis's coordinate differences once and reads every column
+from one radial table with no sort; other sets take one ``cross`` per
+column.
 The Whittle-Matern radial profile is
 
     phi(r) = 2^(1-nu)/Gamma(nu) * (r/c)^nu * K_nu(r/c),   nu = m - d/2,
@@ -51,7 +57,7 @@ from scipy.special import k1 as _k1
 from scipy.special import kv as _kv
 
 from .errors import UnsupportedPair
-from .functionals import Functional, vandermonde
+from .functionals import Functional, FunctionalSet, radial_layout, vandermonde
 from .weights import weight_array
 
 # below s = r/c < 1e-6 the g-terms switch to their leading r -> 0 terms
@@ -252,20 +258,19 @@ class MaternSobolevKernel:
 
     def _layout(self, fset) -> tuple[np.ndarray, np.ndarray, tuple]:
         """Derivative orders and sites of fset as arrays, and its distinct
-        orders, ascending.  A FunctionalSet computes them once
-        (``radial_layout``) and they are checked against this kernel here, by
-        the rule ``_functional_order`` applies to one functional; any other
-        sequence, or a set that fails the check, goes functional by
-        functional, which names the one at fault."""
-        layout = getattr(fset, "radial_layout", None)
+        orders, ascending (``radial_layout``, which a FunctionalSet computes
+        once), checked against this kernel by the rule ``_functional_order``
+        applies to one functional.  Only a sequence that fails that check
+        goes functional by functional, which names the one at fault."""
+        layout = fset.radial_layout if isinstance(fset, FunctionalSet) else radial_layout(fset)
         if layout is not None:
             _, sites, distinct = layout
             if _order_problem(distinct, sites.shape[1], self.d) is None:
                 return layout
-        fs = list(fset)
-        orders = [_functional_order(f, self.d) for f in fs]
-        return (np.array(orders, dtype=int), np.array([f.site for f in fs], dtype=float),
-                tuple(sorted(set(orders))))
+        for f in fset:
+            _functional_order(f, self.d)
+        # no functional to fail the check: an empty sequence
+        return np.zeros(0, dtype=int), np.zeros((0, self.d)), ()
 
     def _arguments(self, pts_a: np.ndarray, pts_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The distinct kernel arguments over every pair of sites, ascending
@@ -325,6 +330,59 @@ class MaternSobolevKernel:
                 out[np.ix_(ia, ib)] = self._radial_block(na, nb, pts_a[ia], pts_b[ib], keep)
         return out
 
+    def columns(self, fset):
+        """j -> K(fset, fset[j]), every entry bit for bit
+        cross(fset, [fset[j]])[:, 0]: the columns of a set against its own
+        members, which P-greedy reads one pick at a time.
+
+        The route is chosen from the sites alone.  A single-order 2-d set
+        takes one radial table for all its columns when the tables hold
+        fewer entries than its Gram (n^2): the squared differences of each
+        axis's distinct coordinates, sx^2 + sy^2 (2 s^2 on an s x s grid,
+        but 2 n^2 on scattered sites, so this is checked first), and the
+        distinct pairs of them.  Each squared difference (xa - xb) * (xa - xb)
+        is computed once, as _arguments computes it, and each pair is
+        summed, square-rooted and divided by c, so every argument, and hence
+        every value, has the bits cross gives it; _radial runs once on the
+        distinct arguments, and a column gathers its entries by the sites'
+        axis codes.  Any other set, such as multi-order or scattered ones and
+        every 1-d set (distinct 1-d sites never share a coordinate), takes
+        one cross call per column (cross_columns).
+        """
+        _, sites, distinct = self._layout(fset)
+        if self.d == 2 and len(distinct) == 1:
+            column = self._table_columns(distinct[0], sites)
+            if column is not None:
+                return column
+        return cross_columns(self, fset)
+
+    def _table_columns(self, order: int, sites: np.ndarray):
+        """columns of a single-order 2-d set from one radial table, or None
+        when the tables would hold as many entries as its Gram."""
+        n = len(sites)
+        axes = [np.unique(np.ascontiguousarray(sites[:, i]).view(np.int64), return_inverse=True)
+                for i in range(2)]
+        size = sum(keys.size ** 2 for keys, _ in axes)
+        if size >= n * n:
+            return None
+        squares, pairs = [], []
+        for keys, _ in axes:
+            x = keys.view(float)
+            diff = x[:, None] - x[None, :]
+            sq, pair = np.unique((diff * diff).view(np.int64), return_inverse=True)
+            squares.append(sq.view(float))
+            pairs.append(pair.reshape(diff.shape))
+        (dx2, dy2), (px, py) = squares, pairs
+        if size + dx2.size * dy2.size >= n * n:
+            return None
+        args, inverse = np.unique((np.sqrt(dx2[:, None] + dy2[None, :]) / self.c).view(np.int64),
+                                  return_inverse=True)
+        values = self._radial(order, order, args.view(float))[inverse.ravel()]
+        # px * dy2.size + py indexes values as the flat (dx2, dy2) table
+        px = px * dy2.size
+        (_, ix), (_, iy) = axes
+        return lambda j: values.take(px[ix[j]].take(ix) + py[iy[j]].take(iy))
+
     def diag(self, fset) -> np.ndarray:
         """apply(f, f) for each f in fset, evaluated once per distinct
         derivative order: the kernel argument is 0 for every member."""
@@ -365,9 +423,19 @@ class ChebWeightKernel:
         vb = vandermonde(set_b, self.truncation)
         return va @ (vb / self.weights).T
 
+    def columns(self, fset):
+        """j -> cross(fset, [fset[j]])[:, 0], one cross call per column."""
+        return cross_columns(self, fset)
+
     def diag(self, fset) -> np.ndarray:
         v = vandermonde(fset, self.truncation)
         return np.einsum("ij,ij->i", v, v / self.weights)
+
+
+def cross_columns(kernel, fset):
+    """j -> kernel.cross(fset, [fset[j]])[:, 0]: the columns of a set
+    against its own members, one cross call each."""
+    return lambda j: kernel.cross(fset, [fset[j]])[:, 0]
 
 
 def kernel_from_spec(spec: dict):

@@ -468,7 +468,7 @@ def test_the_plans_stay_within_their_bound_and_skip_all_distinct_blocks():
 
 def test_only_blocks_between_two_sets_keep_a_plan():
     # a plain sequence on either side is built per call, so its plan could
-    # never be asked for again: greedy's columns K(candidates, [pick]) and
+    # never be asked for again: one-column blocks K(candidates, [pick]) and
     # apply's 1 x 1 blocks keep none, and give the same bits as a kept plan
     k = MaternSobolevKernel(5, 2, 1.0)
     h = np.arange(1, 7) / 7.0
@@ -481,6 +481,82 @@ def test_only_blocks_between_two_sets_keep_a_plan():
     _assert_bitwise_equal(k.cross(grid, grid), block)
     _assert_bitwise_equal(k.cross(grid, grid)[:, 7:8], column)
     assert list(k._plans) == [(grid.radial_layout[1].tobytes(),) * 2]
+
+
+def _grid(xs, ys):
+    return [(x, y) for x in xs for y in ys]
+
+
+def _column_grids():
+    rng = np.random.default_rng(23)
+    h = (np.arange(8) + 0.5) / 8
+    full = _grid((np.arange(9) + 0.5) / 9, (np.arange(9) + 0.5) / 9)
+    return {
+        "square": _grid(h, h),
+        "unequal_7x3": _grid((np.arange(7) + 0.5) / 7, (np.arange(3) + 0.5) / 3),
+        "points_removed": [p for p in full if rng.uniform() > 0.3],
+        "shifted": _grid(h + 0.3, h / 3 - 0.7),
+    }
+
+
+def _columns_and_cross_calls(k, fs, monkeypatch):
+    """Every column of k.columns(fs), and the cross calls they made."""
+    calls = []
+    cross = type(k).cross
+
+    def counting_cross(self, set_a, set_b):
+        calls.append(len(set_b))
+        return cross(self, set_a, set_b)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(type(k), "cross", counting_cross)
+        column = k.columns(fs)
+        cols = [column(j) for j in range(len(fs))]
+    return cols, calls
+
+
+@pytest.mark.parametrize("case", list(_column_grids()))
+def test_grid_columns_come_from_one_table_bit_for_bit(case, monkeypatch):
+    pts = _column_grids()[case]
+    for m in (3, 4, 5, 6):
+        for c in (0.1, 1.0, 10.0):
+            k = MaternSobolevKernel(m, 2, c)
+            kinds = (PointEval, LaplacianEval) if m > 3 else (PointEval,)
+            for fs in [FunctionalSet([kind(p) for p in pts]) for kind in kinds]:
+                cols, calls = _columns_and_cross_calls(k, fs, monkeypatch)
+                assert calls == []
+                for j, col in enumerate(cols):
+                    _assert_bitwise_equal(col, k.cross(fs, [fs[j]])[:, 0])
+
+
+def _per_column_cases():
+    rng = np.random.default_rng(29)
+    h = (np.arange(6) + 0.5) / 6
+    xs, ys = rng.uniform(0, 1, 12), rng.uniform(0, 1, 13)
+    return {
+        "scattered_2d": (MaternSobolevKernel(5, 2, 1.0),
+                         [PointEval(tuple(p)) for p in rng.uniform(0, 1, (30, 2))]),
+        # each x shared by two sites and each inner y too: the per-axis
+        # tables are half the Gram, but their distinct pairs outnumber it
+        "staircase_2d": (MaternSobolevKernel(5, 2, 0.5),
+                         [PointEval((x, y)) for i, x in enumerate(xs) for y in ys[i:i + 2]]),
+        "grid_1d": (MaternSobolevKernel(4, 1, 0.5), [PointEval(x) for x in h]),
+        "two_orders_on_a_grid": (MaternSobolevKernel(5, 2, 1.0),
+                                 [PointEval(p) for p in _grid(h, h)]
+                                 + [LaplacianEval(p) for p in _grid(h, h)]),
+        "chebweight": (ChebWeightKernel(weight_array("(j+1)^2", 12)),
+                       [PointEval(x) for x in np.linspace(-1.0, 1.0, 9)]),
+    }
+
+
+@pytest.mark.parametrize("case", list(_per_column_cases()))
+def test_other_sets_take_one_cross_call_per_column(case, monkeypatch):
+    k, fs = _per_column_cases()[case]
+    fs = FunctionalSet(fs)
+    cols, calls = _columns_and_cross_calls(k, fs, monkeypatch)
+    assert calls == [1] * len(fs)
+    for j, col in enumerate(cols):
+        _assert_bitwise_equal(col, k.cross(fs, [fs[j]])[:, 0])
 
 
 def _count_bessel_calls(monkeypatch):
@@ -586,9 +662,15 @@ def test_a_sets_layout_is_computed_once(monkeypatch):
 
     monkeypatch.setattr(kernels, "_functional_order", counting_order)
     mu = PointEval(0.2)
+    # a plain sequence is checked as a whole, and functional by functional
+    # only when that check fails, to name the one at fault
     for _ in range(3):
         k.cross([mu], lam)
-    assert seen == [mu] * 3
+    assert seen == []
+    bad = DerivEval(0.5, 3)
+    with pytest.raises(UnsupportedPair, match="order > 2"):
+        k.cross([mu, bad], lam)
+    assert seen == [mu, bad]
     # one order on each side: the block is the result, with no scatter
     points = FunctionalSet(lam[:2])
     block = k._radial_block(0, 0, np.array([[0.2]]), points.radial_layout[1])
