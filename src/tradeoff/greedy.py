@@ -93,6 +93,13 @@ def p_greedy(kernel, candidates: FunctionalSet, max_steps: int,
     # column j: K(., j-th pick), and the j-th Newton column
     cols = np.empty((n, min(max_steps, n)), order="F")
     newton = np.empty_like(cols)
+    # the picks' rows of newton (lower triangle only, which is all the
+    # solve reads) and of |cols|, grown by one row and column per step: the
+    # first k rows and columns are newton[selected, :k] and
+    # np.abs(cols[selected, :k]), C-ordered as those gathers are, so that
+    # the floor's product makes the same BLAS call
+    picks_newton = np.zeros((cols.shape[1],) * 2)
+    picks_abs = np.zeros_like(picks_newton)
     selected: list[int] = []
     pivots: list[float] = []
     floors: list[float] = []
@@ -106,11 +113,14 @@ def p_greedy(kernel, candidates: FunctionalSet, max_steps: int,
             at_last = linalg.matmul(newton[:, :k - 1], newton[last, :k - 1, None])[:, 0]
             newton[:, k - 1] = (cols[:, k - 1] - at_last) / math.sqrt(pivots[-1])
             p2 -= newton[:, k - 1] ** 2
+            picks_newton[k - 1, :k] = newton[last, :k]
+            picks_abs[k - 1, :k] = np.abs(cols[last, :k])
+            picks_abs[:k - 1, k - 1] = np.abs(cols[selected[:-1], k - 1])
         best = int(np.argmax(p2))
         if k:
             kml = cols[best, :k]
-            w = linalg.SpdFactor((newton[selected, :k], True)).solve(kml)
-            floor = roundoff_floor(np.abs(cols[selected, :k]), kmm[best, None],
+            w = linalg.SpdFactor((picks_newton[:k, :k], True)).solve(kml)
+            floor = roundoff_floor(picks_abs[:k, :k], kmm[best, None],
                                    kml[None], w[None])[0]
             if not p2[best] > floor:
                 reason = STOP_SINGULAR

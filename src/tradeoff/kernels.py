@@ -2,16 +2,19 @@
 
 Both kernels expose the dual inner product (lambda, mu) = lambda^x mu^y K(x, y):
 vectorized set-against-set assembly via ``cross``, and scalar application
-via ``apply``, the 1 x 1 case of ``cross`` and bit for bit its entry.  The
-Matern ``cross`` evaluates each distinct kernel argument of an order block
-once and gathers the entries: grids and symmetric Grams repeat their
-distances many times over.  Finding the distinct arguments (a sort) costs
-more than the kernel on them, so a kernel keeps that plan for its few most
-recent pairs of FunctionalSet site arrays and any later block on the same
-sites, of any derivative orders, reuses it: a Kansa run sorts its interior
-grid against itself once, not once for A, once for the data Gram and once
-for K_TT.  The plans are bounded in number, since each holds an index per
-block entry, and live with the kernel, so a new kernel starts with none.
+via ``apply``, the 1 x 1 case of ``cross`` and bit for bit its entry.  On
+an order block between two FunctionalSets the Matern ``cross`` evaluates
+each distinct kernel argument once and gathers the entries: grids and
+symmetric Grams repeat their distances many times over.  Finding the
+distinct arguments (a sort) costs more than the kernel on them, so a kernel
+keeps that plan for its few most recent pairs of FunctionalSet site arrays
+and any later block on the same sites, of any derivative orders, reuses it:
+a Kansa run sorts its interior grid against itself once, not once for A,
+once for the data Gram and once for K_TT.  The plans are bounded in number,
+since each holds an index per block entry, and live with the kernel, so a
+new kernel starts with none.  Every other block (``apply`` and ``diag``,
+report rows given as a sequence, one-column blocks) runs the kernel on all
+its entries with no sort: its plan could not be asked for again.
 Both kernels also give ``columns``, a set's columns against its own
 members, each bit for bit a one-column ``cross``.  On a single-order 2-d
 set whose sites share coordinates (a tensor grid) the Matern kernel
@@ -45,16 +48,17 @@ s = 700).  In 1-d the orders are half integers, and each keeps its own
 ``kv`` call: the closed form e^-s * polynomial would move the 1-d Grams in
 their last bits, and some 1-d identity checks sit at the roundoff floor,
 where such a move turns a pass into a fail.
+
+scipy.special (k0, k1, kv and gamma) is imported on first use, by the first
+Matern kernel built, so importing this module loads only numpy; the
+Chebyshev-weight kernel never loads scipy.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import k0 as _k0
-from scipy.special import k1 as _k1
-from scipy.special import kv as _kv
 
 from .errors import UnsupportedPair
 from .functionals import Functional, FunctionalSet, radial_layout, vandermonde
@@ -71,12 +75,22 @@ _SMALL_S = 1e-6
 _PLANS = 8
 
 
+@cache
+def _special() -> SimpleNamespace:
+    """scipy.special's k0, k1, kv and gamma, imported by the first call, so
+    that importing this module, or any numpy-only part of the package, does
+    not load scipy; later calls return the same bound names."""
+    from scipy.special import gamma, k0, k1, kv
+    return SimpleNamespace(k0=k0, k1=k1, kv=kv, gamma=gamma)
+
+
 def _bessel_ladder(orders, s: np.ndarray) -> dict:
     """{b: K_b(s)} for each integer order b in orders, s > 0: one k0 and one
     k1 call, then the upward recurrence K_{b+1} = K_{b-1} + (2b/s) K_b up to
     the largest order, keeping only the orders asked for."""
     orders = {int(b) for b in orders}
-    prev, cur = _k0(s), _k1(s)
+    special = _special()
+    prev, cur = special.k0(s), special.k1(s)
     out = {b: k for b, k in ((0, prev), (1, cur)) if b in orders}
     for b in range(1, max(orders)):
         prev, cur = cur, prev + (2.0 * b / s) * cur
@@ -91,7 +105,8 @@ def _bessel(orders, s: np.ndarray) -> dict:
     docstring)."""
     whole = [b for b in orders if float(b).is_integer()]
     out = _bessel_ladder(whole, s) if whole else {}
-    out.update((b, _kv(b, s)) for b in orders if b not in out)
+    kv = _special().kv
+    out.update((b, kv(b, s)) for b in orders if b not in out)
     return out
 
 
@@ -124,7 +139,7 @@ def _g_pow(p: int, a: float, s: np.ndarray, k_b: np.ndarray | None = None) -> np
     if small.any():
         ss = s[small]
         if b > 0.0:
-            lead = 2.0 ** (b - 1.0) * _gamma(b) * ss ** (q - b)
+            lead = 2.0 ** (b - 1.0) * _special().gamma(b) * ss ** (q - b)
             out[small] = lead * np.exp(-ss) if b == 0.5 else lead
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -220,7 +235,7 @@ class MaternSobolevKernel:
         self.d = int(d)
         self.c = float(c)
         self.nu = self.m - self.d / 2.0
-        self._norm = 2.0 ** (1.0 - self.nu) / _gamma(self.nu)
+        self._norm = 2.0 ** (1.0 - self.nu) / _special().gamma(self.nu)
         # (site bytes a, site bytes b) -> (distinct arguments, entry index)
         self._plans: dict = {}
 
@@ -272,19 +287,26 @@ class MaternSobolevKernel:
         # no functional to fail the check: an empty sequence
         return np.zeros(0, dtype=int), np.zeros((0, self.d)), ()
 
-    def _arguments(self, pts_a: np.ndarray, pts_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct kernel arguments over every pair of sites, ascending
-        as bit patterns (so -0.0 and 0.0 stay apart), and each entry's index
-        into them.  The distances take one difference array per coordinate,
-        squared in place: sqrt(dx*dx + dy*dy)."""
-        u = pts_a[:, None, 0] - pts_b[None, :, 0]
+    def _distances(self, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
+        """The kernel argument of every pair of sites, as a C-ordered array:
+        one difference array per coordinate, squared in place,
+        sqrt(dx*dx + dy*dy), over c.  The order matters to callers that
+        hand a block to linalg.matmul, whose BLAS call follows it."""
+        u = np.subtract.outer(pts_a[:, 0], pts_b[:, 0])
         if self.d == 2:
-            dy = pts_a[:, None, 1] - pts_b[None, :, 1]
+            dy = np.subtract.outer(pts_a[:, 1], pts_b[:, 1])
             np.multiply(u, u, out=u)
             np.multiply(dy, dy, out=dy)
             u += dy
             np.sqrt(u, out=u)
         u /= self.c
+        return u
+
+    def _arguments(self, pts_a: np.ndarray, pts_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct kernel arguments over every pair of sites, ascending
+        as bit patterns (so -0.0 and 0.0 stay apart), and each entry's index
+        into them."""
+        u = self._distances(pts_a, pts_b)
         keys, inverse = np.unique(u.view(np.int64), return_inverse=True)
         return keys.view(float), inverse.reshape(u.shape)
 
@@ -305,18 +327,22 @@ class MaternSobolevKernel:
         return plan
 
     def _radial_block(self, n_a: int, n_b: int, pts_a, pts_b, keep: bool = False) -> np.ndarray:
-        """_radial over every pair of sites, run once per distinct argument
-        and gathered, from the kept plan when keep is set; _radial is
-        elementwise, so each entry is bit for bit the one a full-array
-        evaluation gives."""
-        args, inverse = (self._plan if keep else self._arguments)(pts_a, pts_b)
+        """_radial over every pair of sites.  With keep set (a block between
+        two FunctionalSets) it runs once per distinct argument of the kept
+        plan and is gathered; any other block runs on all its entries, since
+        its plan could not be asked for again and the sort costs more than
+        it saves on a one-row or one-column block or on scattered sites.
+        _radial is elementwise, so both give each entry the same bits."""
+        if not keep:
+            return self._radial(n_a, n_b, self._distances(pts_a, pts_b))
+        args, inverse = self._plan(pts_a, pts_b)
         return self._radial(n_a, n_b, args)[inverse]
 
     def cross(self, set_a, set_b) -> np.ndarray:
-        """Matrix of apply(a_i, b_j), assembled blockwise by derivative order,
-        each block evaluating each distinct kernel argument once; one block
-        when each side has a single order.  Only a block between two
-        FunctionalSets keeps its plan: other sequences are built per call."""
+        """Matrix of apply(a_i, b_j), assembled blockwise by derivative order;
+        one block when each side has a single order.  Only a block between
+        two FunctionalSets sorts its arguments and keeps the plan: other
+        sequences are built per call, so their blocks run on every entry."""
         orders_a, pts_a, distinct_a = self._layout(set_a)
         orders_b, pts_b, distinct_b = self._layout(set_b)
         keep = all(getattr(s, "radial_layout", None) is not None for s in (set_a, set_b))

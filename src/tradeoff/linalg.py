@@ -16,17 +16,31 @@ here that runs beside a factorization or an SVD therefore goes through
 scipy's BLAS, the library that also provides ``potrf``, ``potrs`` and
 ``gesdd``, by ``matmul``.  At one BLAS thread ``matmul`` returns numpy's
 ``@`` bit for bit.
+
+scipy.linalg, its BLAS and its LAPACK are imported on first use, by the
+first product, factorization or SVD here, so importing this module loads
+only numpy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import ddot, dgemm, dgemv
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .errors import DimensionMismatch, NotPositiveDefinite
+
+
+@cache
+def _scipy() -> SimpleNamespace:
+    """The scipy BLAS and LAPACK routines used here, imported by the first
+    call; later calls return the same bound names."""
+    from scipy.linalg import svd
+    from scipy.linalg.blas import ddot, dgemm, dgemv
+    from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+    return SimpleNamespace(ddot=ddot, dgemm=dgemm, dgemv=dgemv, dpotrf=dpotrf,
+                           dpotri=dpotri, dpotrs=dpotrs, svd=svd)
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -64,17 +78,18 @@ def matmul(a, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if 0 in (a.shape[0], a.shape[1], b.shape[1]):
         return np.zeros((a.shape[0], b.shape[1]))
+    blas = _scipy()
     if a.shape[0] == 1 and b.shape[1] == 1:
-        return np.array([[ddot(a[0], b[:, 0])]])
+        return np.array([[blas.ddot(a[0], b[:, 0])]])
     if b.shape[1] == 1:
         x, trans = _transposed(a)
-        return dgemv(1.0, x, b[:, 0], trans=1 - trans)[:, None]
+        return blas.dgemv(1.0, x, b[:, 0], trans=1 - trans)[:, None]
     if a.shape[0] == 1:
         y, trans = _transposed(b)
-        return dgemv(1.0, y, a[0], trans=trans)[None, :]
+        return blas.dgemv(1.0, y, a[0], trans=trans)[None, :]
     x, trans_x = _transposed(a)
     y, trans_y = _transposed(b)
-    return dgemm(1.0, y, x, trans_a=trans_y, trans_b=trans_x).T
+    return blas.dgemm(1.0, y, x, trans_a=trans_y, trans_b=trans_x).T
 
 
 @dataclass(frozen=True)
@@ -103,14 +118,14 @@ class SpdFactor:
                 f"rhs has {b.shape[0]} rows, matrix is {self.n}x{self.n}")
         if not np.isfinite(b).all():
             raise DimensionMismatch("rhs entries must be finite")
-        return dpotrs(self.cho[0], b, lower=self.cho[1])[0]
+        return _scipy().dpotrs(self.cho[0], b, lower=self.cho[1])[0]
 
     def inverse_diagonal(self) -> np.ndarray:
         """Diagonal of A^-1, formed from the stored Cholesky factor by LAPACK
         potri (about n^3/3 flops, against n^3 for solving against the
         identity)."""
         c, lower = self.cho
-        inv, info = dpotri(c, lower=lower)
+        inv, info = _scipy().dpotri(c, lower=lower)
         if info:
             raise NotPositiveDefinite(f"potri failed with info {info}")
         return np.diag(inv).copy()
@@ -125,7 +140,7 @@ def factor_spd(a) -> SpdFactor:
         raise DimensionMismatch(f"matrix is {n}x{m}, expected square")
     if n == 0:
         raise DimensionMismatch("matrix is empty")
-    c, info = dpotrf(a, lower=1, clean=0)
+    c, info = _scipy().dpotrf(a, lower=1, clean=0)
     if info:
         raise NotPositiveDefinite(
             f"Cholesky factorization of the {n}x{n} Gram failed: "
@@ -151,7 +166,7 @@ def svd(a) -> SvdResult:
     """Thin SVD by LAPACK gesdd, the driver numpy's ``svd`` uses, called
     through scipy so that it shares the factorizations' thread pool."""
     a = _as_matrix(a)
-    u, s, vt = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesdd",
-                                check_finite=False)
+    u, s, vt = _scipy().svd(a, full_matrices=False, lapack_driver="gesdd",
+                            check_finite=False)
     return SvdResult(u=u, s=s, vt=vt)
 

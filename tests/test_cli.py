@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 
 import oracle
+import tradeoff
 from tradeoff import cli, identities, kernel_recovery, linalg
 from tradeoff.cli import ExperimentConfig, main, run_fig1, run_greedy, run_identities, run_kansa
 from tradeoff.errors import NotPositiveDefinite
@@ -142,6 +146,46 @@ def test_a_default_kansa_run_sorts_each_pair_of_site_arrays_once(monkeypatch, tm
     # A, the data Gram and K_TT each have an interior-by-interior block
     assert max(pairs.values()) == 3
     assert len(sorted_pairs) < sum(pairs.values())
+
+
+# imports tradeoff.cli, runs the command line it is given (none: import
+# only) and prints the exit code and every scipy module then loaded
+_SCIPY_PROBE = """
+import json, sys
+from tradeoff import cli
+rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def _scipy_modules_after(argv, tmp_path):
+    """Exit code and loaded scipy modules of a fresh interpreter that runs
+    argv through cli.main, with --out under tmp_path."""
+    argv = argv + ["--out", str(tmp_path / "out")] if argv else []
+    env = dict(os.environ, PYTHONPATH=str(Path(tradeoff.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["fig1"],
+    ["identities", "--suite", "poly", "--suite", "ctd", "--suite", "taylor",
+     "--suite", "ortho", "--suite", "svd"],
+], ids=["import", "fig1", "numpy_suites"])
+def test_numpy_only_commands_never_load_scipy(argv, tmp_path):
+    # scipy is imported on first use by kernels and linalg; the package,
+    # fig1 and the closed-form suites compute with numpy alone
+    assert _scipy_modules_after(argv, tmp_path) == [0, []]
+
+
+def test_a_matern_kernel_command_loads_scipy(tmp_path):
+    # the control of the probe above: the kernel suite builds a Matern
+    # kernel and factors its Grams, which loads scipy.special and
+    # scipy.linalg
+    rc, loaded = _scipy_modules_after(["identities", "--suite", "kernel"], tmp_path)
+    assert rc == 0 and {"scipy.special", "scipy.linalg"} <= set(loaded)
 
 
 def test_identities_deterministic(tmp_path):

@@ -1,4 +1,5 @@
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -483,6 +484,40 @@ def test_only_blocks_between_two_sets_keep_a_plan():
     assert list(k._plans) == [(grid.radial_layout[1].tobytes(),) * 2]
 
 
+def test_only_blocks_between_two_sets_sort_their_arguments(monkeypatch):
+    # apply, diag and blocks against a plain sequence run the kernel on
+    # every entry with no np.unique; a block between two sets still sorts,
+    # and every block is bit for bit the full evaluation
+    k = MaternSobolevKernel(5, 2, 1.0)
+    h = np.arange(1, 6) / 6.0
+    grid = FunctionalSet([PointEval((x, y)) for x in h for y in h]
+                         + [LaplacianEval((x, 0.5)) for x in h])
+    rows = tuple(PointEval((x, 0.3)) for x in h) + (LaplacianEval((0.2, 0.9)),)
+    unique, sorts = np.unique, []
+
+    def counting_unique(*args, **kwargs):
+        sorts.append(np.size(args[0]))
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    value = k.apply(grid[3], grid[-1])
+    diag = k.diag(grid)
+    block = k.cross(rows, grid)
+    column = k.cross(grid, [grid[7]])
+    assert sorts == []
+    # C-ordered, as a gathered block is: linalg.matmul's BLAS call follows
+    # the order of its operands
+    assert block.flags.c_contiguous and column.flags.c_contiguous
+    full = k.cross(grid, grid)
+    assert len(sorts) == 4
+    monkeypatch.undo()
+    assert value == _cross_without_dedup(k, [grid[3]], [grid[-1]])[0, 0]
+    _assert_bitwise_equal(diag, np.diag(_cross_without_dedup(k, grid, grid)))
+    _assert_bitwise_equal(block, _cross_without_dedup(k, rows, grid))
+    _assert_bitwise_equal(column, _cross_without_dedup(k, grid, [grid[7]]))
+    _assert_bitwise_equal(full, _cross_without_dedup(k, grid, grid))
+
+
 def _grid(xs, ys):
     return [(x, y) for x in xs for y in ys]
 
@@ -560,7 +595,8 @@ def test_other_sets_take_one_cross_call_per_column(case, monkeypatch):
 
 
 def _count_bessel_calls(monkeypatch):
-    """Record (name, argument count) of every k0, k1, kv and ladder call."""
+    """Record (name, argument count) of every k0, k1, kv and ladder call;
+    the kernels reach scipy.special through kernels._special()."""
     calls = []
 
     def counting(name, f):
@@ -569,9 +605,11 @@ def _count_bessel_calls(monkeypatch):
             return f(*args)
         return wrapped
 
-    for name, f in [("_k0", k0), ("_k1", k1), ("_kv", kv),
-                    ("_bessel_ladder", kernels._bessel_ladder)]:
-        monkeypatch.setattr(kernels, name, counting(name, f))
+    special = SimpleNamespace(k0=counting("_k0", k0), k1=counting("_k1", k1),
+                              kv=counting("_kv", kv), gamma=gamma)
+    monkeypatch.setattr(kernels, "_special", lambda: special)
+    monkeypatch.setattr(kernels, "_bessel_ladder",
+                        counting("_bessel_ladder", kernels._bessel_ladder))
     return calls
 
 
