@@ -2,25 +2,18 @@
 
 Both kernels expose the dual inner product (lambda, mu) = lambda^x mu^y K(x, y):
 vectorized set-against-set assembly via ``cross``, and scalar application
-via ``apply``, the 1 x 1 case of ``cross`` and bit for bit its entry.  On
-an order block between two FunctionalSets the Matern ``cross`` evaluates
-each distinct kernel argument once and gathers the entries: grids and
-symmetric Grams repeat their distances many times over.  Finding the
-distinct arguments (a sort) costs more than the kernel on them, so a kernel
-keeps that plan for its few most recent pairs of FunctionalSet site arrays
-and any later block on the same sites, of any derivative orders, reuses it:
-a Kansa run sorts its interior grid against itself once, not once for A,
-once for the data Gram and once for K_TT.  The plans are bounded in number,
-since each holds an index per block entry, and live with the kernel, so a
-new kernel starts with none.  Every other block (``apply`` and ``diag``,
-report rows given as a sequence, one-column blocks) runs the kernel on all
-its entries with no sort: its plan could not be asked for again.
-Both kernels also give ``columns``, a set's columns against its own
-members, each bit for bit a one-column ``cross``.  On a single-order 2-d
-set whose sites share coordinates (a tensor grid) the Matern kernel
-squares each axis's coordinate differences once and reads every column
-from one radial table with no sort; other sets take one ``cross`` per
-column.
+via ``apply``, the 1 x 1 case of ``cross`` and bit for bit its entry.  Both
+also give ``columns``, a set's columns against its own members, each bit for
+bit a one-column ``cross``.  Grids and symmetric Grams repeat their kernel
+arguments many times over, so a Matern order block takes one of three
+routes, chosen from its sites alone; the kernel keeps no state between
+calls.  A 2-d block whose sites share coordinates squares each axis's
+coordinate differences once, over the distinct coordinates, and runs the
+kernel once per distinct (dx^2, dy^2) pair; ``columns`` reads every column
+of such a set from that one table.  Any other symmetric block (one site
+array on both sides, one derivative order) runs it on its upper triangle
+and mirrors it.  Every other block, among them ``apply``, ``diag`` and
+one-row and one-column blocks, runs it on all its entries.
 The Whittle-Matern radial profile is
 
     phi(r) = 2^(1-nu)/Gamma(nu) * (r/c)^nu * K_nu(r/c),   nu = m - d/2,
@@ -66,14 +59,6 @@ from .weights import weight_array
 
 # below s = r/c < 1e-6 the g-terms switch to their leading r -> 0 terms
 _SMALL_S = 1e-6
-
-# argument plans a Matern kernel keeps, dropping the least recently used.
-# Each holds one index per block entry, so the count bounds their memory.
-# A default Kansa run makes seven other blocks between the interior-by-
-# interior block of A = K(Lambda, T) and the data Gram's, and two between
-# that one and K_TT's, so eight keep the interior plan for both.
-_PLANS = 8
-
 
 @cache
 def _special() -> SimpleNamespace:
@@ -199,7 +184,7 @@ def _functional_order(f: Functional, d: int) -> int:
 def _terms(nu: float, d: int, n_total: int) -> tuple:
     """Term stack for n_total kernel derivatives (1-d) or n_total/2
     Laplacian applications (2-d) of the profile of order nu; keyed by
-    value, so the cache holds no kernel, and no kernel's plans, alive."""
+    value, so the cache holds no kernel alive."""
     if nu <= n_total / 2.0:
         raise UnsupportedPair(
             f"nu = {nu} supports derivative order < {2 * nu}, needed {n_total}")
@@ -236,8 +221,6 @@ class MaternSobolevKernel:
         self.c = float(c)
         self.nu = self.m - self.d / 2.0
         self._norm = 2.0 ** (1.0 - self.nu) / _special().gamma(self.nu)
-        # (site bytes a, site bytes b) -> (distinct arguments, entry index)
-        self._plans: dict = {}
 
     def __repr__(self) -> str:
         return f"MaternSobolevKernel(m={self.m}, d={self.d}, c={self.c})"
@@ -302,112 +285,105 @@ class MaternSobolevKernel:
         u /= self.c
         return u
 
-    def _arguments(self, pts_a: np.ndarray, pts_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct kernel arguments over every pair of sites, ascending
-        as bit patterns (so -0.0 and 0.0 stay apart), and each entry's index
-        into them."""
-        u = self._distances(pts_a, pts_b)
-        keys, inverse = np.unique(u.view(np.int64), return_inverse=True)
-        return keys.view(float), inverse.reshape(u.shape)
+    def _table(self, pts_a: np.ndarray, pts_b: np.ndarray):
+        """(dx2, dy2, codes) for a 2-d pair of site arrays whose per-axis
+        tables hold fewer entries than their block, else None: each axis's
+        distinct squared differences, and codes(j), each entry of column(s)
+        j (an index or a slice) as a flat index into the (dx2, dy2) pair
+        table.  Each squared difference (xa - xb) * (xa - xb) is computed
+        once, over the axis's distinct coordinates, as _distances computes
+        it.  A column's codes are gathered in O(n_a): the b-side column of
+        each axis table first, then the a-side codes."""
+        def distinct(pts, i):
+            return np.unique(np.ascontiguousarray(pts[:, i]).view(np.int64), return_inverse=True)
 
-    def _plan(self, pts_a: np.ndarray, pts_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """_arguments for site arrays of two FunctionalSets, the only ones a
-        later call can bring again.  The last _PLANS plans with repeated
-        arguments are kept, keyed by the exact bytes of the two site arrays;
-        a plan whose arguments are all distinct saves nothing."""
-        key = (pts_a.tobytes(), pts_b.tobytes())
-        plan = self._plans.pop(key, None)
-        if plan is None:
-            plan = self._arguments(pts_a, pts_b)
-            if plan[0].size == plan[1].size:
-                return plan
-        self._plans[key] = plan
-        if len(self._plans) > _PLANS:
-            del self._plans[next(iter(self._plans))]
-        return plan
+        axes, cells = [], 0
+        for i in range(2):
+            a = distinct(pts_a, i)
+            axes.append((a, a if pts_b is pts_a else distinct(pts_b, i)))
+            cells += a[0].size * axes[i][1][0].size
+            if cells >= len(pts_a) * len(pts_b):
+                return None
+        squares, pairs = [], []
+        for (ka, _), (kb, _) in axes:
+            diff = ka.view(float)[:, None] - kb.view(float)[None, :]
+            sq, pair = np.unique((diff * diff).view(np.int64), return_inverse=True)
+            squares.append(sq.view(float))
+            pairs.append(pair.reshape(diff.shape))
+        (dx2, dy2), (px, py) = squares, pairs
+        px = px * dy2.size
+        ((_, ax), (_, bx)), ((_, ay), (_, by)) = axes
+        return dx2, dy2, lambda j: px[:, bx[j]].take(ax, 0) + py[:, by[j]].take(ay, 0)
 
-    def _radial_block(self, n_a: int, n_b: int, pts_a, pts_b, keep: bool = False) -> np.ndarray:
-        """_radial over every pair of sites.  With keep set (a block between
-        two FunctionalSets) it runs once per distinct argument of the kept
-        plan and is gathered; any other block runs on all its entries, since
-        its plan could not be asked for again and the sort costs more than
-        it saves on a one-row or one-column block or on scattered sites.
-        _radial is elementwise, so both give each entry the same bits."""
-        if not keep:
-            return self._radial(n_a, n_b, self._distances(pts_a, pts_b))
-        args, inverse = self._plan(pts_a, pts_b)
-        return self._radial(n_a, n_b, args)[inverse]
+    def _pair_values(self, n_a: int, n_b: int, dx2: np.ndarray, dy2: np.ndarray) -> np.ndarray:
+        """_radial over the flat (dx2, dy2) pair table, run once per distinct
+        argument sqrt(dx2 + dy2) / c (summed, square-rooted and divided as
+        _distances does, so every argument keeps its bits)."""
+        args, inverse = np.unique((np.sqrt(dx2[:, None] + dy2[None, :]) / self.c)
+                                  .view(np.int64), return_inverse=True)
+        return self._radial(n_a, n_b, args.view(float)).take(inverse.ravel())
+
+    def _radial_block(self, n_a: int, n_b: int, pts_a, pts_b) -> np.ndarray:
+        """_radial over every pair of sites, as a C-ordered array: the
+        order matters to callers that hand a block to linalg.matmul, whose
+        BLAS call follows it.  A block with more than one row and column
+        takes the 2-d _table when there is one: the pair table's values
+        when it is smaller than the block, else the block's distinct pair
+        codes.  Else a symmetric block (pts_b is pts_a, n_b == n_a, so entry
+        (j, i) has the bits of (i, j)) runs on its upper triangle and
+        mirrors it.  Any other block runs on all its entries.  _radial is
+        elementwise, so each entry has the same bits on every route."""
+        if len(pts_a) > 1 and len(pts_b) > 1:
+            table = self._table(pts_a, pts_b) if self.d == 2 else None
+            if table is not None:
+                dx2, dy2, codes = table
+                if dx2.size * dy2.size < len(pts_a) * len(pts_b):
+                    return self._pair_values(n_a, n_b, dx2, dy2).take(codes(slice(None)))
+                used, inverse = np.unique(codes(slice(None)), return_inverse=True)
+                args = np.sqrt(dx2[used // dy2.size] + dy2[used % dy2.size]) / self.c
+                return self._radial(n_a, n_b, args).take(inverse.reshape(len(pts_a), -1))
+            if pts_b is pts_a and n_b == n_a:
+                upper = ~np.tri(len(pts_a), k=-1, dtype=bool)
+                out = np.empty(upper.shape)
+                out[upper] = out.T[upper] = self._radial(
+                    n_a, n_b, self._distances(pts_a, pts_a)[upper])
+                return out
+        return self._radial(n_a, n_b, self._distances(pts_a, pts_b))
 
     def cross(self, set_a, set_b) -> np.ndarray:
         """Matrix of apply(a_i, b_j), assembled blockwise by derivative order;
-        one block when each side has a single order.  Only a block between
-        two FunctionalSets sorts its arguments and keeps the plan: other
-        sequences are built per call, so their blocks run on every entry."""
+        one block when each side has a single order.  Each block takes its
+        route in _radial_block from its sites alone; a block of one order
+        against itself on one site array is symmetric."""
         orders_a, pts_a, distinct_a = self._layout(set_a)
         orders_b, pts_b, distinct_b = self._layout(set_b)
-        keep = all(getattr(s, "radial_layout", None) is not None for s in (set_a, set_b))
         if len(distinct_a) == len(distinct_b) == 1:
-            return self._radial_block(distinct_a[0], distinct_b[0], pts_a, pts_b, keep)
+            return self._radial_block(distinct_a[0], distinct_b[0], pts_a, pts_b)
         out = np.empty((len(orders_a), len(orders_b)))
         for na in distinct_a:
             ia = np.flatnonzero(orders_a == na)
+            sites_a = pts_a[ia]
             for nb in distinct_b:
                 ib = np.flatnonzero(orders_b == nb)
-                out[np.ix_(ia, ib)] = self._radial_block(na, nb, pts_a[ia], pts_b[ib], keep)
+                sites_b = sites_a if pts_b is pts_a and nb == na else pts_b[ib]
+                out[np.ix_(ia, ib)] = self._radial_block(na, nb, sites_a, sites_b)
         return out
 
     def columns(self, fset):
         """j -> K(fset, fset[j]), every entry bit for bit
         cross(fset, [fset[j]])[:, 0]: the columns of a set against its own
-        members, which P-greedy reads one pick at a time.
-
-        The route is chosen from the sites alone.  A single-order 2-d set
-        takes one radial table for all its columns when the tables hold
-        fewer entries than its Gram (n^2): the squared differences of each
-        axis's distinct coordinates, sx^2 + sy^2 (2 s^2 on an s x s grid,
-        but 2 n^2 on scattered sites, so this is checked first), and the
-        distinct pairs of them.  Each squared difference (xa - xb) * (xa - xb)
-        is computed once, as _arguments computes it, and each pair is
-        summed, square-rooted and divided by c, so every argument, and hence
-        every value, has the bits cross gives it; _radial runs once on the
-        distinct arguments, and a column gathers its entries by the sites'
-        axis codes.  Any other set, such as multi-order or scattered ones and
-        every 1-d set (distinct 1-d sites never share a coordinate), takes
-        one cross call per column (cross_columns).
-        """
+        members, which P-greedy reads one pick at a time.  A single-order
+        2-d set whose _table against itself has a pair table smaller than
+        its Gram (a tensor grid) runs the kernel once on that table and
+        gathers each column from it; any other set (multi-order, scattered,
+        every 1-d set) takes one cross call per column (cross_columns)."""
         _, sites, distinct = self._layout(fset)
-        if self.d == 2 and len(distinct) == 1:
-            column = self._table_columns(distinct[0], sites)
-            if column is not None:
-                return column
-        return cross_columns(self, fset)
-
-    def _table_columns(self, order: int, sites: np.ndarray):
-        """columns of a single-order 2-d set from one radial table, or None
-        when the tables would hold as many entries as its Gram."""
-        n = len(sites)
-        axes = [np.unique(np.ascontiguousarray(sites[:, i]).view(np.int64), return_inverse=True)
-                for i in range(2)]
-        size = sum(keys.size ** 2 for keys, _ in axes)
-        if size >= n * n:
-            return None
-        squares, pairs = [], []
-        for keys, _ in axes:
-            x = keys.view(float)
-            diff = x[:, None] - x[None, :]
-            sq, pair = np.unique((diff * diff).view(np.int64), return_inverse=True)
-            squares.append(sq.view(float))
-            pairs.append(pair.reshape(diff.shape))
-        (dx2, dy2), (px, py) = squares, pairs
-        if size + dx2.size * dy2.size >= n * n:
-            return None
-        args, inverse = np.unique((np.sqrt(dx2[:, None] + dy2[None, :]) / self.c).view(np.int64),
-                                  return_inverse=True)
-        values = self._radial(order, order, args.view(float))[inverse.ravel()]
-        # px * dy2.size + py indexes values as the flat (dx2, dy2) table
-        px = px * dy2.size
-        (_, ix), (_, iy) = axes
-        return lambda j: values.take(px[ix[j]].take(ix) + py[iy[j]].take(iy))
+        table = self._table(sites, sites) if self.d == 2 and len(distinct) == 1 else None
+        if table is None or table[0].size * table[1].size >= len(sites) ** 2:
+            return cross_columns(self, fset)
+        dx2, dy2, codes = table
+        values = self._pair_values(distinct[0], distinct[0], dx2, dy2)
+        return lambda j: values.take(codes(j))
 
     def diag(self, fset) -> np.ndarray:
         """apply(f, f) for each f in fset, evaluated once per distinct

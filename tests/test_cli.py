@@ -120,34 +120,6 @@ def test_kansa_evaluates_each_row_once(monkeypatch, tmp_path):
     assert calls == {"cross": 7, "diag": 2}
 
 
-def test_a_default_kansa_run_sorts_each_pair_of_site_arrays_once(monkeypatch, tmp_path):
-    # the kernel's argument plans carry A's interior-by-interior sort over
-    # to the data Gram and K_TT: np.unique runs once per distinct pair
-    pairs, sorted_pairs, current = Counter(), [], [None]
-    plan, unique = MaternSobolevKernel._plan, np.unique
-
-    def recording_plan(self, pts_a, pts_b):
-        current[0] = pts_a.tobytes(), pts_b.tobytes()
-        pairs[current[0]] += 1
-        try:
-            return plan(self, pts_a, pts_b)
-        finally:
-            current[0] = None
-
-    def recording_unique(*args, **kwargs):
-        if current[0] is not None:
-            sorted_pairs.append(current[0])
-        return unique(*args, **kwargs)
-
-    monkeypatch.setattr(MaternSobolevKernel, "_plan", recording_plan)
-    monkeypatch.setattr(np, "unique", recording_unique)
-    run_kansa(ExperimentConfig("kansa", out_dir=tmp_path))
-    assert Counter(sorted_pairs) == Counter(set(pairs))
-    # A, the data Gram and K_TT each have an interior-by-interior block
-    assert max(pairs.values()) == 3
-    assert len(sorted_pairs) < sum(pairs.values())
-
-
 # imports tradeoff.cli, runs the command line it is given (none: import
 # only) and prints the exit code and every scipy module then loaded
 _SCIPY_PROBE = """

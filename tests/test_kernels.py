@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma, k0, k1, kv
 
 import oracle
@@ -26,7 +28,7 @@ from tradeoff.kernels import (
     kernel_from_spec,
 )
 from tradeoff.report import reports_to_csv
-from tradeoff.unsymmetric import PoissonSetup
+from tradeoff.unsymmetric import PoissonSetup, unit_square_perimeter
 from tradeoff.weights import weight_array
 
 
@@ -406,6 +408,16 @@ def _dedup_cases():
     zeros_a = [PointEval(-0.0), DerivEval(0.0, 1), DerivEval(-0.0, 2), PointEval(0.3)]
     zeros_b = [PointEval(0.0), DerivEval(-0.0, 1), DerivEval(0.0, 1),
                DerivEval(0.0, 2), PointEval(-0.0)]
+    # kansa's evaluation rows: its 64-point boundary against the 17 x 17
+    # grid, whose (dx^2, dy^2) table outnumbers the block (the pair-code
+    # route), and its 21 x 21 grid against the 11 x 11 data grid (two
+    # spacings)
+    data_17 = PoissonSetup.regular(k2, n_side=17).functionals()
+    eval_boundary = FunctionalSet([PointEval(tuple(p)) for p in
+                                   unit_square_perimeter(np.arange(64) * 4.0 / 64)])
+    h = np.arange(1, 22) / 22.0
+    eval_grid = FunctionalSet([LaplacianEval((x, y)) for x in h for y in h])
+    data_11 = PoissonSetup.regular(k2, n_side=11).functionals()
     return {
         "kansa_data_gram": (k2, data, data),
         "kansa_trial_cross": (k2, data, setup.trial_functionals),
@@ -413,6 +425,10 @@ def _dedup_cases():
         "hermite_1d": (k1, hermite, hermite),
         "scattered_2d": (k2, scattered, scattered),
         "signed_zeros_1d": (MaternSobolevKernel(5, 1, 1.0), zeros_a, zeros_b),
+        "eval_boundary_against_17x17": (k2, eval_boundary, data_17),
+        "eval_grid_21_against_data_11": (k2, eval_grid, data_11),
+        "one_row": (k2, data[7:8], data),
+        "one_column": (k2, data, data[-1:]),
     }
 
 
@@ -426,10 +442,10 @@ def test_cross_equals_full_block_evaluation_bit_for_bit(case):
 
 
 def test_cross_on_a_warm_shared_kernel_equals_a_fresh_one_bit_for_bit():
-    # every case twice, shuffled, through one kernel per (m, d, c): each call
-    # between two sets may reuse the argument plans the others left
+    # every case twice, shuffled, through one kernel per (m, d, c): no call
+    # may depend on the calls made before it
     cases = _dedup_cases()
-    shared = {}
+    shared, state = {}, {}
     runs = [(name, form) for name in cases for form in (FunctionalSet, list)] * 2
     for i in np.random.default_rng(3).permutation(len(runs)):
         name, form = runs[i]
@@ -437,85 +453,115 @@ def test_cross_on_a_warm_shared_kernel_equals_a_fresh_one_bit_for_bit():
         if form is FunctionalSet and not isinstance(fa, FunctionalSet):
             continue
         warm = shared.setdefault((k.m, k.d, k.c), MaternSobolevKernel(k.m, k.d, k.c))
+        state.setdefault((k.m, k.d, k.c), dict(vars(warm)))
         got = warm.cross(form(fa), form(fb))
         _assert_bitwise_equal(got, _cross_without_dedup(k, fa, fb))
         _assert_bitwise_equal(got, MaternSobolevKernel(k.m, k.d, k.c).cross(fa, fb))
-    # only blocks between two FunctionalSets keep plans: the signed-zero
-    # case, in lists only, leaves its kernel none
-    assert {key: bool(warm._plans) for key, warm in shared.items()} == {
-        (5, 2, 1.0): True, (5, 1, 0.05): True, (5, 1, 1.0): False}
+    # the kernel is a plain value: no call leaves state on it
+    assert {key: vars(warm) for key, warm in shared.items()} == state
 
 
-def test_the_plans_stay_within_their_bound_and_skip_all_distinct_blocks():
-    k = MaternSobolevKernel(5, 2, 1.0)
-    rng = np.random.default_rng(17)
-    h = np.arange(1, 7) / 7.0
-    grids = [FunctionalSet([PointEval((x + dx, y)) for x in h for y in h])
-             for dx in np.arange(12) * 1e-3]
-    scattered = FunctionalSet([PointEval(tuple(p)) for p in rng.uniform(0, 1, (30, 2))])
-    kept = []
-    for i in rng.integers(0, len(grids), 60):
-        k.cross(grids[i], grids[i])
-        k.apply(scattered[0], grids[i][0])
-        k.cross(scattered, scattered[:1] + grids[i][:2])
-        k.diag(scattered)
-        assert 0 < len(k._plans) <= kernels._PLANS
-        assert all(args.size < inverse.size for args, inverse in k._plans.values())
-        # the grid's own plan is the most recent one kept
-        kept.append(next(reversed(k._plans)))
-        assert kept[-1] == (grids[i].radial_layout[1].tobytes(),) * 2
-    assert len(set(kept)) > kernels._PLANS
-
-
-def test_only_blocks_between_two_sets_keep_a_plan():
-    # a plain sequence on either side is built per call, so its plan could
-    # never be asked for again: one-column blocks K(candidates, [pick]) and
-    # apply's 1 x 1 blocks keep none, and give the same bits as a kept plan
-    k = MaternSobolevKernel(5, 2, 1.0)
-    h = np.arange(1, 7) / 7.0
-    grid = FunctionalSet([PointEval((x, y)) for x in h for y in h])
-    column = k.cross(grid, [grid[7]])
-    block = k.cross(list(grid), grid)
-    k.apply(grid[0], grid[1])
-    k.diag(grid)
-    assert not k._plans
-    _assert_bitwise_equal(k.cross(grid, grid), block)
-    _assert_bitwise_equal(k.cross(grid, grid)[:, 7:8], column)
-    assert list(k._plans) == [(grid.radial_layout[1].tobytes(),) * 2]
-
-
-def test_only_blocks_between_two_sets_sort_their_arguments(monkeypatch):
-    # apply, diag and blocks against a plain sequence run the kernel on
-    # every entry with no np.unique; a block between two sets still sorts,
-    # and every block is bit for bit the full evaluation
+def test_each_block_takes_its_route_from_its_sites(monkeypatch):
+    # apply, diag, one-row and one-column blocks and blocks of scattered
+    # sites run the kernel on every entry; a grid block, from a
+    # FunctionalSet or a plain sequence alike, runs it on fewer arguments
+    # than it has entries; every block is bit for bit the full evaluation
     k = MaternSobolevKernel(5, 2, 1.0)
     h = np.arange(1, 6) / 6.0
     grid = FunctionalSet([PointEval((x, y)) for x in h for y in h]
                          + [LaplacianEval((x, 0.5)) for x in h])
     rows = tuple(PointEval((x, 0.3)) for x in h) + (LaplacianEval((0.2, 0.9)),)
-    unique, sorts = np.unique, []
+    scattered = [PointEval(tuple(p)) for p in np.random.default_rng(5).uniform(0, 1, (6, 2))]
+    radial, sizes = MaternSobolevKernel._radial, []
 
-    def counting_unique(*args, **kwargs):
-        sorts.append(np.size(args[0]))
-        return unique(*args, **kwargs)
+    def counting_radial(self, n_a, n_b, u):
+        sizes.append(np.size(u))
+        return radial(self, n_a, n_b, u)
 
-    monkeypatch.setattr(np, "unique", counting_unique)
+    monkeypatch.setattr(MaternSobolevKernel, "_radial", counting_radial)
     value = k.apply(grid[3], grid[-1])
     diag = k.diag(grid)
-    block = k.cross(rows, grid)
+    row = k.cross([grid[7]], grid)
     column = k.cross(grid, [grid[7]])
-    assert sorts == []
-    # C-ordered, as a gathered block is: linalg.matmul's BLAS call follows
-    # the order of its operands
-    assert block.flags.c_contiguous and column.flags.c_contiguous
+    apart = k.cross(scattered, scattered[:4])
+    # diag: one apply per order; then 1 x 25 and 1 x 5 blocks each way
+    assert sizes == [1, 1, 1, 25, 5, 25, 5, 24]
+    sizes.clear()
+    block = k.cross(rows, grid)
+    assert sum(sizes) < len(rows) * len(grid)
+    sizes.clear()
     full = k.cross(grid, grid)
-    assert len(sorts) == 4
+    assert sum(sizes) < len(grid) ** 2
+    # C-ordered, as the full evaluation is: linalg.matmul's BLAS call
+    # follows the order of its operands
+    assert all(b.flags.c_contiguous for b in (row, column, apart, block, full))
     monkeypatch.undo()
     assert value == _cross_without_dedup(k, [grid[3]], [grid[-1]])[0, 0]
     _assert_bitwise_equal(diag, np.diag(_cross_without_dedup(k, grid, grid)))
-    _assert_bitwise_equal(block, _cross_without_dedup(k, rows, grid))
+    _assert_bitwise_equal(row, _cross_without_dedup(k, [grid[7]], grid))
     _assert_bitwise_equal(column, _cross_without_dedup(k, grid, [grid[7]]))
+    _assert_bitwise_equal(apart, _cross_without_dedup(k, scattered, scattered[:4]))
+    _assert_bitwise_equal(block, _cross_without_dedup(k, rows, grid))
     _assert_bitwise_equal(full, _cross_without_dedup(k, grid, grid))
+
+
+def test_the_eval_boundary_against_a_17x17_grid_deduplicates_its_pair_codes(monkeypatch):
+    # its per-axis tables are smaller than the 64 x 289 block, but their
+    # (dx^2, dy^2) pairs outnumber it: np.unique runs on one pair code per
+    # entry, and the kernel on fewer arguments than entries
+    k, fa, fb = _dedup_cases()["eval_boundary_against_17x17"]
+    trial = PoissonSetup.regular(k, n_side=17).trial_functionals
+    unique, radial, uniques, sizes = np.unique, MaternSobolevKernel._radial, [], []
+
+    def counting_unique(*args, **kwargs):
+        uniques.append(np.size(args[0]))
+        return unique(*args, **kwargs)
+
+    def counting_radial(self, n_a, n_b, u):
+        sizes.append(np.size(u))
+        return radial(self, n_a, n_b, u)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    monkeypatch.setattr(MaternSobolevKernel, "_radial", counting_radial)
+    got = k.cross(fa, trial)
+    assert uniques[-1] == len(fa) * len(trial) and sizes[0] < len(fa) * len(trial)
+    monkeypatch.undo()
+    _assert_bitwise_equal(got, _cross_without_dedup(k, fa, trial))
+
+
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+
+
+def _perturbed_grid(data) -> list:
+    """A tensor grid on a drawn lattice with points removed, points moved
+    off it and a drawn derivative order per site; never empty."""
+    steps = [data.draw(st.integers(1, 12)) for _ in range(2)]
+    sides = [data.draw(st.integers(1, 6)) for _ in range(2)]
+    out = []
+    for i in range(sides[0]):
+        for j in range(sides[1]):
+            action = data.draw(st.sampled_from(["keep", "keep", "drop", "shift"]))
+            if action == "drop":
+                continue
+            p = [i / steps[0], j / steps[1]]
+            if action == "shift":
+                p[data.draw(st.integers(0, 1))] += data.draw(st.sampled_from([1e-3, 0.37]))
+            kind = data.draw(st.sampled_from([PointEval, LaplacianEval]))
+            out.append(kind(tuple(p)))
+    return out or [PointEval((0.0, 0.0))]
+
+
+@settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
+@given(data=st.data(), m=st.integers(4, 6), c=st.sampled_from([0.1, 1.0, 10.0]),
+       same=st.booleans())
+def test_cross_and_columns_on_perturbed_grids_equal_the_full_evaluation(data, m, c, same):
+    k = MaternSobolevKernel(m, 2, c)
+    fa = FunctionalSet(_perturbed_grid(data))
+    fb = fa if same else FunctionalSet(_perturbed_grid(data))
+    _assert_bitwise_equal(k.cross(fa, fb), _cross_without_dedup(k, fa, fb))
+    column, ref = k.columns(fa), _cross_without_dedup(k, fa, fa)
+    for j in range(len(fa)):
+        _assert_bitwise_equal(column(j), ref[:, j])
 
 
 def _grid(xs, ys):
